@@ -253,11 +253,14 @@ def compare(
 
     layouts = {m: _mode_layout(m, requests, demands) for m in MODE_ORDER}
     rate_no_dedup = layouts[DedupMode.NO_DEDUP][2]
-    assert (
-        layouts[DedupMode.PER_KPI_MERGE][2]
-        <= layouts[DedupMode.WHOLE_REQUEST][2]
-        <= rate_no_dedup
-    )
+    rate_whole = layouts[DedupMode.WHOLE_REQUEST][2]
+    rate_merge = layouts[DedupMode.PER_KPI_MERGE][2]
+    if not rate_merge <= rate_whole <= rate_no_dedup:
+        raise RuntimeError(
+            "sample rates out of order: per_kpi_merge "
+            f"{rate_merge} <= whole_request {rate_whole} <= no_dedup "
+            f"{rate_no_dedup} must hold"
+        )
 
     results = []
     for mode in MODE_ORDER:

@@ -6,9 +6,10 @@ requested period and records the age of the newest sample available
 from its assigned stream at every consumer tick. Message and byte
 accounting follows the configured batching rule.
 
-All emission and consumption instants are known up front, so the event
-loop is realized as a per-stream tick enumeration aggregated in
-(time, node, period) order; reports are byte-identical across runs.
+All emission and consumption instants are known up front, so every
+total is computed in closed form once per distinct period (or node
+period set) rather than tick by tick; counts are exact for any horizon
+and reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -93,6 +94,41 @@ def staleness_oracle(sample_period_ms: int, consume_period_ms: int) -> int:
     return worst
 
 
+def _ticks(period_ms: int, horizon_ms: int) -> int:
+    """Ticks 0, T, 2T, ... strictly below the horizon."""
+    return (horizon_ms - 1) // period_ms + 1
+
+
+def _union_ticks(periods: tuple[int, ...], horizon_ms: int) -> int:
+    """Instants in [0, horizon) on the grid of at least one period.
+
+    The union repeats every lcm(periods), so one window of
+    min(horizon, lcm) is marked and whole repeats are folded. The lcm of
+    a few coprime periods dwarfs any horizon and is never enumerated.
+    """
+    if len(periods) == 1:
+        return _ticks(periods[0], horizon_ms)
+    window = min(horizon_ms, math.lcm(*periods))
+    grid = bytearray(window)
+    for period in periods:
+        grid[::period] = b"\x01" * _ticks(period, window)
+    repeats, rest = divmod(horizon_ms, window)
+    return repeats * grid.count(1) + grid[:rest].count(1)
+
+
+def _worst_age(sample_period_ms: int, consume_period_ms: int, horizon_ms: int) -> int:
+    """Worst sample age over the consumer ticks below the horizon.
+
+    Over a full window lcm(s, c) the ages t mod s run through every
+    multiple of gcd(s, c) below s, so the worst is s - gcd(s, c); a
+    shorter horizon sees only its own ticks.
+    """
+    hyper = math.lcm(sample_period_ms, consume_period_ms)
+    if horizon_ms >= hyper:
+        return sample_period_ms - math.gcd(sample_period_ms, consume_period_ms)
+    return max(t % sample_period_ms for t in range(0, horizon_ms, consume_period_ms))
+
+
 def _assignments(
     plans: Iterable[TransmissionPlan], demands: Iterable[KpiDemand]
 ) -> list[tuple[KpiDemand, StreamSpec]]:
@@ -136,25 +172,27 @@ def run(
 
     horizon = cfg.horizon_ms
     report = SimReport(0, 0, 0)
-    # Emission accounting. Sample count per stream is the number of
-    # ticks 0, T, 2T, ... strictly below the horizon.
-    samples_per_instant: dict[tuple[int, E2NodeId], int] = {}
+    node_periods: dict[E2NodeId, set[int]] = {}
     for stream in sorted(streams, key=lambda s: (s.node, s.kpi, s.period_ms)):
-        ticks = (horizon - 1) // stream.period_ms + 1
+        ticks = _ticks(stream.period_ms, horizon)
         # Exact-duplicate streams (several plans, one spec) accumulate.
         report.per_stream_sample_counts[stream] = (
             report.per_stream_sample_counts.get(stream, 0) + ticks
         )
         report.samples_sent += ticks
-        if cfg.batching is Batching.PER_STREAM:
-            report.messages_sent += ticks
-            report.bytes_sent += ticks * (cfg.header_bytes + cfg.bytes_per_sample)
-        else:
-            for t in range(0, horizon, stream.period_ms):
-                key = (t, stream.node)
-                samples_per_instant[key] = samples_per_instant.get(key, 0) + 1
-    if cfg.batching is Batching.PER_NODE_PERIOD:
-        report.messages_sent = len(samples_per_instant)
+        node_periods.setdefault(stream.node, set()).add(stream.period_ms)
+    if cfg.batching is Batching.PER_STREAM:
+        report.messages_sent = report.samples_sent
+        report.bytes_sent = report.samples_sent * (cfg.header_bytes + cfg.bytes_per_sample)
+    else:
+        # One message per node per instant on the union of its grids;
+        # nodes sharing a period set share the count.
+        instants: dict[tuple[int, ...], int] = {}
+        for periods in node_periods.values():
+            key = tuple(sorted(periods))
+            if key not in instants:
+                instants[key] = _union_ticks(key, horizon)
+            report.messages_sent += instants[key]
         report.bytes_sent = (
             report.messages_sent * cfg.header_bytes
             + report.samples_sent * cfg.bytes_per_sample
@@ -163,12 +201,13 @@ def run(
     # Consumption: each xApp ticks on its own requested grid and sees the
     # newest sample from its assigned stream. t = 0 alignment makes the
     # first tick fresh by construction.
+    worst_ages: dict[tuple[int, int], int] = {}
     for demand, stream in pairs:
-        period = stream.period_ms
-        worst = report.per_xapp_max_staleness.get(demand.xapp, 0)
-        for tick in range(0, horizon, demand.period_ms):
-            newest_sample = (tick // period) * period
-            worst = max(worst, tick - newest_sample)
-        report.per_xapp_max_staleness[demand.xapp] = worst
+        key = (stream.period_ms, demand.period_ms)
+        if key not in worst_ages:
+            worst_ages[key] = _worst_age(*key, horizon)
+        report.per_xapp_max_staleness[demand.xapp] = max(
+            report.per_xapp_max_staleness.get(demand.xapp, 0), worst_ages[key]
+        )
     report.per_xapp_max_staleness = dict(sorted(report.per_xapp_max_staleness.items()))
     return report

@@ -1,5 +1,6 @@
 import pytest
 
+from ricmerge import scenario
 from ricmerge.e2model import decompose, request_fingerprint
 from ricmerge.power import PowerModel
 from ricmerge.scenario import (
@@ -124,6 +125,23 @@ class TestCompare:
             <= rates[DedupMode.WHOLE_REQUEST]
             <= rates[DedupMode.NO_DEDUP]
         )
+
+    def test_rate_order_violation_raises(self, monkeypatch):
+        original = scenario._mode_layout
+
+        def inflated_merge(mode, requests, demands):
+            plans, streams, rate = original(mode, requests, demands)
+            if mode is DedupMode.PER_KPI_MERGE:
+                rate += 1
+            return plans, streams, rate
+
+        monkeypatch.setattr(scenario, "_mode_layout", inflated_merge)
+        spec = ScenarioSpec(2, 2, 10, 0.0, seed=1)
+        with pytest.raises(RuntimeError, match="sample rates out of order") as err:
+            compare(spec, MODEL, SIM)
+        message = str(err.value)
+        for mode in ("per_kpi_merge 401", "whole_request 400", "no_dedup 400"):
+            assert mode in message
 
     def test_merge_saves_exactly_the_duplicated_rate(self):
         spec = ScenarioSpec(10, 20, 10, 0.9, seed=6)

@@ -1,11 +1,64 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricmerge.e2model import KpiDemand
 from ricmerge.merge import MergeState, StreamSpec, TransmissionPlan, sample_counts
-from ricmerge.sim import Batching, SimConfig, SimReport, run, staleness_oracle
+from ricmerge.sim import (
+    Batching,
+    SimConfig,
+    SimReport,
+    _assignments,
+    run,
+    staleness_oracle,
+)
+
+
+def reference_run(plans, demands, cfg):
+    """Tick-by-tick reference for ``run``: walks every stream tick and every
+    consumer tick below the horizon, O(streams x horizon / period)."""
+    plans = list(plans)
+    demands = list(demands)
+    pairs = _assignments(plans, demands)
+    streams = [s for plan in plans for s in plan.streams]
+    for stream in streams:
+        if stream.period_ms > cfg.horizon_ms:
+            raise ValueError("horizon shorter than stream period")
+
+    horizon = cfg.horizon_ms
+    report = SimReport(0, 0, 0)
+    samples_per_instant = {}
+    for stream in sorted(streams, key=lambda s: (s.node, s.kpi, s.period_ms)):
+        ticks = (horizon - 1) // stream.period_ms + 1
+        report.per_stream_sample_counts[stream] = (
+            report.per_stream_sample_counts.get(stream, 0) + ticks
+        )
+        report.samples_sent += ticks
+        if cfg.batching is Batching.PER_STREAM:
+            report.messages_sent += ticks
+            report.bytes_sent += ticks * (cfg.header_bytes + cfg.bytes_per_sample)
+        else:
+            for t in range(0, horizon, stream.period_ms):
+                key = (t, stream.node)
+                samples_per_instant[key] = samples_per_instant.get(key, 0) + 1
+    if cfg.batching is Batching.PER_NODE_PERIOD:
+        report.messages_sent = len(samples_per_instant)
+        report.bytes_sent = (
+            report.messages_sent * cfg.header_bytes
+            + report.samples_sent * cfg.bytes_per_sample
+        )
+
+    for demand, stream in pairs:
+        period = stream.period_ms
+        worst = report.per_xapp_max_staleness.get(demand.xapp, 0)
+        for tick in range(0, horizon, demand.period_ms):
+            newest_sample = (tick // period) * period
+            worst = max(worst, tick - newest_sample)
+        report.per_xapp_max_staleness[demand.xapp] = worst
+    report.per_xapp_max_staleness = dict(sorted(report.per_xapp_max_staleness.items()))
+    return report
 
 
 def single_plan(node, kpi, period, xapps):
@@ -178,3 +231,98 @@ def test_counts_over_one_hyperperiod_match_pairwise_counts(ti, tj):
     assert report.per_stream_sample_counts[StreamSpec(0, "m", gcd)] == counts.merged
     assert report.per_stream_sample_counts[StreamSpec(1, "m", ti)] == counts.first
     assert report.per_stream_sample_counts[StreamSpec(2, "m", tj)] == counts.second
+
+
+MAX_HORIZON = 5000
+
+
+@st.composite
+def layouts(draw):
+    """Random demands over several nodes, KPIs and xApps, laid out either
+    by the merge engine or as one plan per demand (exact duplicates)."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from("abc")),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    periods = st.one_of(st.sampled_from([5, 10, 15, 20, 30, 60]), st.integers(1, 60))
+    tolerances = st.one_of(st.none(), st.integers(1, 60))
+    demands = [
+        KpiDemand(xapp, node, kpi, draw(periods), draw(tolerances))
+        for xapp, node, kpi in keys
+    ]
+    if draw(st.booleans()):
+        state = MergeState()
+        state.add_demands(demands)
+        plans = list(state.plans().values())
+    else:
+        plans = [single_plan(d.node, d.kpi, d.period_ms, [d.xapp]) for d in demands]
+    return plans, demands
+
+
+@st.composite
+def horizons(draw, plans, demands):
+    """Horizons shorter than, equal to, or off a multiple of the hyperperiod."""
+    stream_periods = [s.period_ms for p in plans for s in p.streams]
+    longest = max(stream_periods)
+    hyper = math.lcm(*stream_periods, *(d.period_ms for d in demands))
+    kind = draw(st.sampled_from(["short", "equal", "offset"]))
+    if kind == "short" and hyper > longest:
+        return draw(st.integers(longest, min(hyper - 1, MAX_HORIZON)))
+    if kind == "equal" and hyper <= MAX_HORIZON:
+        return hyper
+    if kind == "offset" and 1 < hyper <= MAX_HORIZON // 2:
+        repeats = draw(st.integers(1, MAX_HORIZON // hyper - 1))
+        return repeats * hyper + draw(st.integers(1, hyper - 1))
+    return draw(st.integers(longest, MAX_HORIZON))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_matches_tick_reference(data):
+    plans, demands = data.draw(layouts())
+    cfg = SimConfig(
+        horizon_ms=data.draw(horizons(plans, demands)),
+        header_bytes=data.draw(st.integers(0, 200)),
+        bytes_per_sample=data.draw(st.integers(1, 2000)),
+        batching=data.draw(st.sampled_from(Batching)),
+    )
+    assert run(plans, demands, cfg).to_json() == reference_run(plans, demands, cfg).to_json()
+
+
+def test_staleness_oracle_matches_closed_form():
+    for s in range(1, 61):
+        for c in range(1, 61):
+            assert staleness_oracle(s, c) == s - math.gcd(s, c), (s, c)
+
+
+class TestHyperperiodLongerThanHorizon:
+    def test_coprime_periods_on_one_node(self):
+        # lcm(7, 11, ..., 31) is about 6.7e9 ms; only the horizon is walked.
+        periods = [7, 11, 13, 17, 19, 23, 29, 31]
+        assert math.lcm(*periods) > 6 * 10**9
+        plans = [single_plan(0, f"K{p}", p, [1]) for p in periods]
+        demands = [KpiDemand(1, 0, f"K{p}", p) for p in periods]
+        cfg = SimConfig(horizon_ms=1000)
+        tracemalloc.start()
+        try:
+            report = run(plans, demands, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        expected = reference_run(plans, demands, cfg)
+        assert report.messages_sent == expected.messages_sent
+        assert report.to_json() == expected.to_json()
+
+    def test_consumer_stream_lcm_beyond_horizon(self):
+        plans = [single_plan(0, "a", 997, [1])]
+        demands = [KpiDemand(1, 0, "a", 991)]
+        cfg = SimConfig(horizon_ms=1000)
+        report = run(plans, demands, cfg)
+        # consumer ticks 0 and 991 see the t = 0 sample only
+        assert report.per_xapp_max_staleness == {1: 991}
+        assert report.to_json() == reference_run(plans, demands, cfg).to_json()
