@@ -128,9 +128,8 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
 def _cmd_node(args: argparse.Namespace) -> int:
     host, port = _parse_address(args.broker)
-    catalog = tuple(f"KPI{k:04d}" for k in range(args.kpis))
     try:
-        wire.node_emulate(host, port, args.node_id, catalog)
+        wire.node_emulate(host, port, args.node_id)
     except ConnectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_node = sub.add_parser("node", help="run a node emulator")
     p_node.add_argument("--broker", required=True, metavar="HOST:PORT")
     p_node.add_argument("--node-id", type=int, required=True)
-    p_node.add_argument("--kpis", type=int, default=7)
     p_node.set_defaults(func=_cmd_node)
 
     p_xapp = sub.add_parser("xapp", help="run an xApp client")

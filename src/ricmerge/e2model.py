@@ -105,27 +105,6 @@ class KpiDemand:
         _validate_sensitivity(self.sensitivity_ms)
 
 
-@dataclass(frozen=True)
-class IndicationMessage:
-    """KPI samples reported by one node at one instant of the clock.
-
-    Sample values are not modeled; only identities and timestamps matter
-    for traffic and power accounting.
-    """
-
-    node: E2NodeId
-    emit_time_ms: int
-    samples: tuple[tuple[KpiId, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise ValueError("indication must carry at least one sample")
-        for kpi, sample_time in self.samples:
-            if sample_time > self.emit_time_ms:
-                raise ValueError(f"sample for {kpi!r} timestamped after emission")
-
-
 def decompose(request: SubscriptionRequest) -> list[KpiDemand]:
     """Split a request into per-KPI demands, preserving item order."""
     return [

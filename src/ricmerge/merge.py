@@ -2,8 +2,9 @@
 
 For every (E2 node, KPI) pair the engine keeps the set of active xApp
 demands and derives a transmission plan: which physical report streams
-the node must emit, and which stream feeds each xApp. Decisions between
-two report periods follow a fixed order:
+the node must emit, and which stream feeds each xApp. Whether two sides
+(a stream and a demand, or two streams) can share one stream is decided
+by :func:`admit`, the only place that holds the decision order:
 
 1. identical periods share one stream (dedup);
 2. divisible periods share the faster stream, which the slower consumer
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
 
@@ -86,6 +87,73 @@ def sample_counts(ti_ms: int, tj_ms: int) -> SampleCounts:
     return SampleCounts(lcm // gcd, lcm // ti_ms, lcm // tj_ms)
 
 
+class _Member(Protocol):
+    """What :func:`admit` reads of a demand."""
+
+    period_ms: int
+    sensitivity_ms: int | None
+
+
+class _Request(NamedTuple):
+    """One side of :func:`decide_pair`: a bare (period, tolerance) pair."""
+
+    period_ms: int
+    sensitivity_ms: int | None
+
+
+def _effective_sensitivity(
+    members: Sequence[_Member], candidate_period_ms: int
+) -> int | None:
+    """Tolerance of a side treated as the slower side of a merge.
+
+    The minimum declared tolerance over members whose requested period
+    exceeds the candidate merged period; absent as soon as any such
+    member declared none (conservative: their tolerance is unknown).
+    """
+    tolerances = []
+    for member in members:
+        if member.period_ms > candidate_period_ms:
+            if member.sensitivity_ms is None:
+                return None
+            tolerances.append(member.sensitivity_ms)
+    return min(tolerances) if tolerances else None
+
+
+def admit(
+    a_period_ms: int,
+    a_members: Sequence[_Member],
+    b_period_ms: int,
+    b_members: Sequence[_Member],
+) -> tuple[DecisionKind, int | None]:
+    """Decide whether one stream can serve two sides, and at which period.
+
+    A side is a stream period plus the demands it serves (anything with
+    ``period_ms`` and ``sensitivity_ms``). Returns the decision and the
+    period of the shared stream, or ``(DUPLICATE, None)`` when both
+    streams must be kept. The tolerance of the slower side gates the
+    shared-stream option for non-divisible periods. The gcd test compares
+    one merged stream against serving every member at its own requested
+    period, over the hyperperiod of all member periods.
+    """
+    if a_period_ms == b_period_ms:
+        return DecisionKind.DEDUP, a_period_ms
+    if a_period_ms > b_period_ms:
+        a_period_ms, a_members, b_period_ms, b_members = (
+            b_period_ms, b_members, a_period_ms, a_members
+        )
+    if b_period_ms % a_period_ms == 0:
+        return DecisionKind.MIN_PERIOD, a_period_ms
+    tolerance = _effective_sensitivity(b_members, a_period_ms)
+    if tolerance is not None and max_staleness(a_period_ms, b_period_ms) < tolerance:
+        return DecisionKind.MIN_PERIOD, a_period_ms
+    gcd = math.gcd(a_period_ms, b_period_ms)
+    periods = [m.period_ms for m in a_members] + [m.period_ms for m in b_members]
+    hyper = math.lcm(*periods)
+    if hyper // gcd < sum(hyper // p for p in periods):
+        return DecisionKind.GCD_MERGE, gcd
+    return DecisionKind.DUPLICATE, None
+
+
 @dataclass(frozen=True)
 class MergeDecision:
     """Outcome of comparing two report-period requests for one KPI.
@@ -110,22 +178,16 @@ def decide_pair(
     the slower side gates the shared-stream option for non-divisible
     periods. A missing sensitivity means no tolerance was declared.
     """
-    ti, si = existing
-    tj, sj = incoming
-    if ti == tj:
-        return MergeDecision(DecisionKind.DEDUP, ti)
-    if ti % tj == 0 or tj % ti == 0:
-        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj))
-    staleness = max_staleness(ti, tj)
-    slow_sensitivity = si if ti > tj else sj
-    if slow_sensitivity is not None and staleness < slow_sensitivity:
-        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj), staleness)
-    counts = sample_counts(ti, tj)
-    if counts.merged < counts.first + counts.second:
-        return MergeDecision(
-            DecisionKind.GCD_MERGE, math.gcd(ti, tj), staleness, counts
-        )
-    return MergeDecision(DecisionKind.DUPLICATE, None, staleness, counts)
+    ti, tj = existing[0], incoming[0]
+    kind, period = admit(ti, [_Request(*existing)], tj, [_Request(*incoming)])
+    counted = kind is DecisionKind.GCD_MERGE or kind is DecisionKind.DUPLICATE
+    return MergeDecision(
+        kind,
+        period,
+        # Zero exactly when one period divides the other.
+        max_staleness(ti, tj) or None,
+        sample_counts(ti, tj) if counted else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -201,84 +263,14 @@ class _Stream:
         return (self.period_ms, *anchor)
 
 
-def _effective_sensitivity(stream: _Stream, candidate_period_ms: int) -> int | None:
-    """Tolerance of a stream treated as the slower side of a merge.
-
-    The minimum declared tolerance over members whose requested period
-    exceeds the candidate merged period; absent as soon as any such
-    member declared none (conservative: their tolerance is unknown).
-    """
-    tolerances = []
-    for member in stream.members:
-        if member.period_ms > candidate_period_ms:
-            if member.sensitivity_ms is None:
-                return None
-            tolerances.append(member.sensitivity_ms)
-    return min(tolerances) if tolerances else None
-
-
-def _split_cost(periods: list[int], hyperperiod: int) -> int:
-    return sum(hyperperiod // p for p in periods)
-
-
-def _try_join(stream: _Stream, demand: KpiDemand) -> bool:
-    """Attempt to serve ``demand`` from ``stream``, retiming it if needed.
-
-    The sample-count test compares one merged stream at the gcd against
-    serving every involved xApp at its own requested period, over the
-    joint hyperperiod of those periods.
-    """
-    period, requested = stream.period_ms, demand.period_ms
-    joined = False
-    if requested % period == 0:
-        joined = True
-    elif period % requested == 0:
-        stream.period_ms = requested
-        joined = True
-    else:
-        if requested > period:
-            tolerance = demand.sensitivity_ms
-            retime_to = None
-        else:
-            tolerance = _effective_sensitivity(stream, requested)
-            retime_to = requested
-        if tolerance is not None and max_staleness(period, requested) < tolerance:
-            if retime_to is not None:
-                stream.period_ms = retime_to
-            joined = True
-        else:
-            merged_period = math.gcd(period, requested)
-            member_periods = [m.period_ms for m in stream.members] + [requested]
-            hyper = math.lcm(*member_periods)
-            if hyper // merged_period < _split_cost(member_periods, hyper):
-                stream.period_ms = merged_period
-                joined = True
-    if joined:
-        stream.members.append(demand)
-    return joined
-
-
-def _try_consolidate(fast: _Stream, slow: _Stream) -> bool:
-    """Attempt to collapse two streams into ``fast``; same decision order
-    as joining a demand, with the slow stream's members moving over."""
-    p_fast, p_slow = fast.period_ms, slow.period_ms
-    merged_period = None
-    if p_slow % p_fast == 0:
-        merged_period = p_fast
-    else:
-        tolerance = _effective_sensitivity(slow, p_fast)
-        if tolerance is not None and max_staleness(p_fast, p_slow) < tolerance:
-            merged_period = p_fast
-        else:
-            gcd = math.gcd(p_fast, p_slow)
-            member_periods = [m.period_ms for m in fast.members + slow.members]
-            hyper = math.lcm(*member_periods)
-            if hyper // gcd < _split_cost(member_periods, hyper):
-                merged_period = gcd
+def _absorb(stream: _Stream, period_ms: int, members: list[KpiDemand]) -> bool:
+    """Move ``members``, served at ``period_ms``, onto ``stream`` when
+    :func:`admit` lets one stream serve both; retimes ``stream`` if needed."""
+    merged_period = admit(stream.period_ms, stream.members, period_ms, members)[1]
     if merged_period is None:
         return False
-    fast.period_ms = merged_period
-    fast.members.extend(slow.members)
+    stream.period_ms = merged_period
+    stream.members.extend(members)
     return True
 
 
@@ -287,7 +279,7 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
 
     Demands are folded in (period, xApp id) order; each joins the first
     stream (period-ascending) that admits it, else opens its own. A
-    consolidation pass then collapses stream pairs under the same rules
+    consolidation pass then collapses stream pairs under the same rule
     until no pair can merge, which is what lets three or more demands
     end up on a single gcd-period stream.
     """
@@ -296,7 +288,7 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     streams: list[_Stream] = []
     for demand in sorted(demands, key=lambda d: (d.period_ms, d.xapp)):
         streams.sort(key=_Stream.sort_key)
-        if not any(_try_join(stream, demand) for stream in streams):
+        if not any(_absorb(stream, demand.period_ms, [demand]) for stream in streams):
             streams.append(_Stream(demand.period_ms, [demand]))
     merged = True
     while merged:
@@ -304,7 +296,7 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
         streams.sort(key=_Stream.sort_key)
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
-                if _try_consolidate(streams[i], streams[j]):
+                if _absorb(streams[i], streams[j].period_ms, streams[j].members):
                     del streams[j]
                     merged = True
                     break

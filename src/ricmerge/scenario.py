@@ -425,12 +425,8 @@ def _parse_sensitivity(text: str) -> SensitivityPolicy:
     raise ConfigError(f"bad sensitivity policy {text!r}")
 
 
-def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
-    """Parse a key=value sections config file.
-
-    Sections: [scenario] (required: nodes, kpis_per_node), [power] and
-    [sim] (both optional, defaults apply).
-    """
+def _read_sections(path: str) -> configparser.ConfigParser:
+    """Read a sections file, turning I/O and syntax errors into ConfigError."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -439,7 +435,16 @@ def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return parser
 
+
+def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
+    """Parse a key=value sections config file.
+
+    Sections: [scenario] (required: nodes, kpis_per_node), [power] and
+    [sim] (both optional, defaults apply).
+    """
+    parser = _read_sections(path)
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
     sc = parser["scenario"]
@@ -477,14 +482,7 @@ def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
 def load_subscribe(path: str) -> tuple[int, int, tuple[SubscriptionItem, ...]]:
     """Parse an xApp subscribe file: [subscribe] with xapp, node, and
     items as comma-separated kpi:period[:tolerance] entries."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    parser = _read_sections(path)
     if not parser.has_section("subscribe"):
         raise ConfigError(f"{path}: missing [subscribe] section")
     section = parser["subscribe"]

@@ -51,7 +51,10 @@ KIND_SUBSCRIBE_REPLY = 4
 KIND_UNSUBSCRIBE = 5
 KIND_INDICATION = 6
 
-MAX_FRAME_BYTES = 2**32 - 1
+# Largest frame accepted, length prefix excluded. An indication carrying
+# 1000 KPIs is about 23 kB; the cap bounds what one length prefix from a
+# peer can make the reader allocate.
+MAX_FRAME_BYTES = 1 << 20
 
 
 class CodecError(ValueError):
@@ -233,13 +236,19 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
 
 
 def read_frame(sock: socket.socket) -> bytes | None:
-    """One full frame from the socket, or None on orderly close."""
+    """One full frame from the socket, or None on orderly close.
+
+    Raises :class:`CodecError` before reading the body when the length
+    prefix exceeds ``MAX_FRAME_BYTES``.
+    """
     prefix = _recv_exact(sock, 4)
     if prefix is None:
         return None
     (length,) = struct.unpack(">I", prefix)
     if length < 1:
         return None
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"frame too large: {length} bytes")
     rest = _recv_exact(sock, length)
     if rest is None:
         return None
@@ -376,10 +385,10 @@ class Broker:
         reason = "connection closed"
         try:
             while not self._stopping.is_set():
-                frame = read_frame(sock)
-                if frame is None:
-                    break
                 try:
+                    frame = read_frame(sock)
+                    if frame is None:
+                        break
                     msg = decode(frame)
                 except CodecError as exc:
                     reason = f"malformed frame: {exc}"
@@ -552,12 +561,10 @@ class NodeEmulator:
         broker_host: str,
         broker_port: int,
         node_id: int,
-        kpi_catalog: tuple[str, ...] = (),
         connect_attempts: int = 5,
         backoff_s: float = 0.2,
     ) -> None:
         self.node_id = node_id
-        self.kpi_catalog = kpi_catalog
         self._addr = (broker_host, broker_port)
         self._connect_attempts = connect_attempts
         self._backoff_s = backoff_s
@@ -625,10 +632,10 @@ class NodeEmulator:
         assert self._peer is not None
         sock = self._peer.sock
         while not self._stopping.is_set():
-            frame = read_frame(sock)
-            if frame is None:
-                break
             try:
+                frame = read_frame(sock)
+                if frame is None:
+                    break
                 msg = decode(frame)
             except CodecError as exc:
                 logger.warning("node %d: bad frame from broker: %s", self.node_id, exc)
@@ -739,10 +746,10 @@ class XAppClient:
         assert self._peer is not None
         sock = self._peer.sock
         while not self._stopping.is_set():
-            frame = read_frame(sock)
-            if frame is None:
-                break
             try:
+                frame = read_frame(sock)
+                if frame is None:
+                    break
                 msg = decode(frame)
             except CodecError as exc:
                 logger.warning("xApp %d: bad frame: %s", self.xapp_id, exc)
@@ -776,11 +783,9 @@ def broker_serve(
         broker.stop()
 
 
-def node_emulate(
-    broker_host: str, broker_port: int, node_id: int, kpi_catalog: tuple[str, ...]
-) -> None:
+def node_emulate(broker_host: str, broker_port: int, node_id: int) -> None:
     """Run a node emulator until interrupted."""
-    node = NodeEmulator(broker_host, broker_port, node_id, kpi_catalog)
+    node = NodeEmulator(broker_host, broker_port, node_id)
     node.start()
     try:
         while True:

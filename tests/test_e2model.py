@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from ricmerge.e2model import (
     DuplicateKpiError,
-    IndicationMessage,
     SubscriptionItem,
     SubscriptionRequest,
     canonical_bytes,
@@ -105,12 +104,3 @@ class TestValidation:
     def test_empty_kpi_rejected(self):
         with pytest.raises(ValueError):
             SubscriptionItem("", 10)
-
-    def test_indication_sample_after_emission_rejected(self):
-        with pytest.raises(ValueError):
-            IndicationMessage(1, 10, (("a", 11),))
-        IndicationMessage(1, 10, (("a", 10),))
-
-    def test_indication_needs_samples(self):
-        with pytest.raises(ValueError):
-            IndicationMessage(1, 10, ())

@@ -1,19 +1,23 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricmerge import merge
 from ricmerge.e2model import KpiDemand
 from ricmerge.merge import (
     ChangeAction,
     DecisionKind,
     DuplicateDemandError,
+    MergeDecision,
     MergeState,
     SampleCounts,
     StreamSpec,
     TransmissionPlan,
     UnknownDemandError,
+    _Stream,
     decide_pair,
     max_staleness,
     sample_counts,
@@ -331,3 +335,180 @@ class TestTransmissionPlan:
     def test_sample_rate_helper(self):
         streams = [StreamSpec(0, "a", 10), StreamSpec(0, "b", 10), StreamSpec(1, "a", 4)]
         assert streams_sample_rate(streams) == 450
+
+
+# Reference engine: the fold and the pairwise rule as they stood when the
+# decision order was written out three times. Kept as the oracle that the
+# single admission rule must reproduce plan for plan.
+
+
+def reference_decide_pair(existing, incoming):
+    ti, si = existing
+    tj, sj = incoming
+    if ti == tj:
+        return MergeDecision(DecisionKind.DEDUP, ti)
+    if ti % tj == 0 or tj % ti == 0:
+        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj))
+    staleness = max_staleness(ti, tj)
+    slow_sensitivity = si if ti > tj else sj
+    if slow_sensitivity is not None and staleness < slow_sensitivity:
+        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj), staleness)
+    counts = sample_counts(ti, tj)
+    if counts.merged < counts.first + counts.second:
+        return MergeDecision(DecisionKind.GCD_MERGE, math.gcd(ti, tj), staleness, counts)
+    return MergeDecision(DecisionKind.DUPLICATE, None, staleness, counts)
+
+
+def reference_effective_sensitivity(stream, candidate_period_ms):
+    tolerances = []
+    for member in stream.members:
+        if member.period_ms > candidate_period_ms:
+            if member.sensitivity_ms is None:
+                return None
+            tolerances.append(member.sensitivity_ms)
+    return min(tolerances) if tolerances else None
+
+
+def reference_split_cost(periods, hyperperiod):
+    return sum(hyperperiod // p for p in periods)
+
+
+def reference_try_join(stream, demand):
+    period, requested = stream.period_ms, demand.period_ms
+    joined = False
+    if requested % period == 0:
+        joined = True
+    elif period % requested == 0:
+        stream.period_ms = requested
+        joined = True
+    else:
+        if requested > period:
+            tolerance = demand.sensitivity_ms
+            retime_to = None
+        else:
+            tolerance = reference_effective_sensitivity(stream, requested)
+            retime_to = requested
+        if tolerance is not None and max_staleness(period, requested) < tolerance:
+            if retime_to is not None:
+                stream.period_ms = retime_to
+            joined = True
+        else:
+            merged_period = math.gcd(period, requested)
+            member_periods = [m.period_ms for m in stream.members] + [requested]
+            hyper = math.lcm(*member_periods)
+            if hyper // merged_period < reference_split_cost(member_periods, hyper):
+                stream.period_ms = merged_period
+                joined = True
+    if joined:
+        stream.members.append(demand)
+    return joined
+
+
+def reference_try_consolidate(fast, slow):
+    p_fast, p_slow = fast.period_ms, slow.period_ms
+    merged_period = None
+    if p_slow % p_fast == 0:
+        merged_period = p_fast
+    else:
+        tolerance = reference_effective_sensitivity(slow, p_fast)
+        if tolerance is not None and max_staleness(p_fast, p_slow) < tolerance:
+            merged_period = p_fast
+        else:
+            gcd = math.gcd(p_fast, p_slow)
+            member_periods = [m.period_ms for m in fast.members + slow.members]
+            hyper = math.lcm(*member_periods)
+            if hyper // gcd < reference_split_cost(member_periods, hyper):
+                merged_period = gcd
+    if merged_period is None:
+        return False
+    fast.period_ms = merged_period
+    fast.members.extend(slow.members)
+    return True
+
+
+def reference_build_streams(demands):
+    if len(demands) == 1:
+        return [_Stream(demands[0].period_ms, [demands[0]])]
+    streams = []
+    for d in sorted(demands, key=lambda d: (d.period_ms, d.xapp)):
+        streams.sort(key=_Stream.sort_key)
+        if not any(reference_try_join(stream, d) for stream in streams):
+            streams.append(_Stream(d.period_ms, [d]))
+    merged = True
+    while merged:
+        merged = False
+        streams.sort(key=_Stream.sort_key)
+        for i in range(len(streams)):
+            for j in range(i + 1, len(streams)):
+                if reference_try_consolidate(streams[i], streams[j]):
+                    del streams[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    streams.sort(key=_Stream.sort_key)
+    return streams
+
+
+def churn_ops(rng):
+    """A random add/remove sequence over two (node, KPI) groups. Half the
+    sequences draw periods from 1-12 ms, where gcd merges are common."""
+    top = rng.choice([12, 100])
+    ops, active = [], {}
+    for _ in range(rng.randint(1, 24)):
+        if active and rng.random() < 0.3:
+            ops.append(("remove", active.pop(rng.choice(sorted(active)))))
+            continue
+        kpi = rng.choice("ab")
+        xapp = rng.choice([x for x in range(24) if (x, kpi) not in active])
+        sens = rng.choice([None, None, rng.randint(1, 30)])
+        active[xapp, kpi] = demand(xapp, rng.randint(1, top), sens, kpi=kpi)
+        ops.append(("add", active[xapp, kpi]))
+    return ops
+
+
+def replay(ops):
+    """StreamChange list and all plans after each op."""
+    state, trace = MergeState(), []
+    for action, d in ops:
+        if action == "add":
+            changes = state.add_demand(d)
+        else:
+            changes = state.remove_demand(d.xapp, d.node, d.kpi)
+        trace.append((action, changes, state.plans()))
+    return trace
+
+
+def test_decide_pair_matches_reference():
+    tolerances = [None, 2, 6, 20]
+    for ti in range(1, 41):
+        for tj in range(1, 41):
+            for si in tolerances:
+                for sj in tolerances:
+                    pair = ((ti, si), (tj, sj))
+                    assert decide_pair(*pair) == reference_decide_pair(*pair), pair
+
+
+def test_engine_matches_reference_fold():
+    corpus = [churn_ops(random.Random(seed)) for seed in range(600)]
+    with mock.patch.object(merge, "_build_streams", reference_build_streams):
+        expected = [replay(ops) for ops in corpus]
+    gcd_streams = tolerated = removal_retimes = 0
+    for ops, want in zip(corpus, expected):
+        got = replay(ops)
+        assert got == want, ops
+        requested = {}
+        for (action, d), (_, changes, plans) in zip(ops, got):
+            if action == "add":
+                requested[d.xapp, d.kpi] = d.period_ms
+            else:
+                removal_retimes += any(c.action is ChangeAction.RETIMED for c in changes)
+            for (_, kpi), plan in plans.items():
+                periods = {requested[x, kpi] for x in plan.fanout}
+                gcd_streams += sum(s.period_ms not in periods for s in plan.streams)
+                tolerated += sum(
+                    requested[x, kpi] % plan.stream_for(x).period_ms != 0
+                    for x in plan.fanout
+                )
+    # The corpus must reach every branch of the rule, removals included.
+    assert gcd_streams > 20 and tolerated > 20 and removal_retimes > 20

@@ -258,14 +258,23 @@ class TestConfig:
         assert sim_cfg.horizon_ms == 1000
 
     def test_missing_file_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            load_config("/nonexistent/scenario.cfg")
+        for loader in (load_config, load_subscribe):
+            with pytest.raises(ConfigError, match="cannot read"):
+                loader("/nonexistent/scenario.cfg")
+
+    def test_unparsable_file_raises_config_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("nodes = 1\n")  # no section header
+        for loader in (load_config, load_subscribe):
+            with pytest.raises(ConfigError, match="cannot parse"):
+                loader(str(path))
 
     def test_missing_section_raises(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[power]\nric_static_watts = 34.5\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        for loader in (load_config, load_subscribe):
+            with pytest.raises(ConfigError, match="missing"):
+                loader(str(path))
 
     def test_bad_mode_raises(self, tmp_path):
         path = tmp_path / "bad.cfg"

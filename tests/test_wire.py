@@ -1,3 +1,6 @@
+import logging
+import socket
+import struct
 import time
 
 import pytest
@@ -7,6 +10,7 @@ from ricmerge.e2model import SubscriptionItem
 from ricmerge.wire import (
     BROKER_SENDER,
     Broker,
+    MAX_FRAME_BYTES,
     CodecError,
     Indication,
     NodeEmulator,
@@ -18,6 +22,7 @@ from ricmerge.wire import (
     XAppClient,
     decode,
     encode,
+    read_frame,
 )
 
 
@@ -67,8 +72,6 @@ class TestCodec:
 
     def test_trailing_bytes_rejected(self):
         frame = encode(SetupRequest(1))
-        import struct
-
         padded = struct.pack(">I", len(frame) - 4 + 1) + frame[4:] + b"\x00"
         with pytest.raises(CodecError):
             decode(padded)
@@ -114,6 +117,24 @@ def wait_until(predicate, timeout_s=5.0, interval_s=0.02):
             return True
         time.sleep(interval_s)
     return predicate()
+
+
+class TestFrameCap:
+    def test_oversized_length_rejected_before_body(self):
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            # No body follows: reading one would hit the timeout, not raise.
+            ours.settimeout(2)
+            peer.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            with pytest.raises(CodecError, match="frame too large"):
+                read_frame(ours)
+
+    def test_broker_logs_why_it_dropped_the_peer(self, broker, caplog):
+        caplog.set_level(logging.INFO, logger="ricmerge.wire")
+        with socket.create_connection(broker.address, timeout=5) as sock:
+            sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            assert sock.recv(1) == b""
+        assert wait_until(lambda: "malformed frame: frame too large" in caplog.text)
 
 
 class TestLiveMode:
