@@ -23,6 +23,10 @@ a+b for the pair, and a*b >= a+b. It becomes profitable only once three
 or more demands accumulate on a stream, which is why plans are rebuilt
 from the full demand set (including a stream consolidation pass) rather
 than patched incrementally.
+
+A plan's ``feeds`` view pairs each stream with the xApps it feeds; the
+simulator takes such rows, and the live broker keeps the engine's plans
+as its routing snapshot and fans indications out through ``feeds``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
@@ -203,6 +208,11 @@ class StreamSpec:
             raise ValueError(f"stream period must be >= 1 ms: {self.period_ms}")
 
 
+# One stream and the xApps it feeds, in ascending id order: the row
+# shape the simulator and the broker's indication fan-out read.
+Feed = tuple[StreamSpec, tuple[XAppId, ...]]
+
+
 @dataclass(frozen=True)
 class TransmissionPlan:
     """The streams chosen for one (node, KPI) pair plus the fan-out map
@@ -230,6 +240,17 @@ class TransmissionPlan:
 
     def stream_for(self, xapp: XAppId) -> StreamSpec:
         return self.streams[self.fanout[xapp]]
+
+    @cached_property
+    def feeds(self) -> tuple[Feed, ...]:
+        """Each stream with the xApps it feeds, in stream order.
+
+        The only inversion of ``fanout``; computed once per plan.
+        """
+        xapps: list[list[XAppId]] = [[] for _ in self.streams]
+        for xapp, index in sorted(self.fanout.items()):
+            xapps[index].append(xapp)
+        return tuple(zip(self.streams, map(tuple, xapps)))
 
 
 class ChangeAction(str, Enum):

@@ -29,7 +29,7 @@ from .e2model import (
     decompose,
     request_fingerprint,
 )
-from .merge import MergeState, StreamSpec, TransmissionPlan, streams_sample_rate
+from .merge import Feed, MergeState, StreamSpec, streams_sample_rate
 from .power import PowerModel
 from .sim import Batching, SimConfig, run as sim_run
 
@@ -161,40 +161,20 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     return requests
 
 
-def _single_stream_plans(demands: list[KpiDemand]) -> list[TransmissionPlan]:
-    """One stream per demand: the no-dedup transmission layout."""
-    return [
-        TransmissionPlan(
-            (StreamSpec(d.node, d.kpi, d.period_ms),), {d.xapp: 0}
-        )
-        for d in demands
-    ]
-
-
-def _whole_request_plans(
-    requests: list[SubscriptionRequest],
-) -> tuple[list[TransmissionPlan], int]:
-    """Plans under whole-request dedup: requests with identical content
-    hashes share the first request's streams; everything else is
-    transmitted as-is. Returns the plans and the transmitted stream count.
-    """
+def _whole_request_rows(requests: list[SubscriptionRequest]) -> list[Feed]:
+    """Stream rows under whole-request dedup: requests with identical
+    content hashes share the first request's streams; everything else is
+    transmitted as-is."""
     groups: dict[bytes, list[SubscriptionRequest]] = {}
     for request in requests:
         groups.setdefault(request_fingerprint(request), []).append(request)
-    plans = []
-    streams = 0
+    rows = []
     for members in groups.values():
         keeper = members[0]
-        xapps = [m.xapp for m in members]
+        xapps = tuple(sorted({m.xapp for m in members}))
         for item in keeper.items:
-            fanout = {xapp: 0 for xapp in xapps}
-            plans.append(
-                TransmissionPlan(
-                    (StreamSpec(keeper.node, item.kpi, item.period_ms),), fanout
-                )
-            )
-            streams += 1
-    return plans, streams
+            rows.append((StreamSpec(keeper.node, item.kpi, item.period_ms), xapps))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -224,19 +204,17 @@ def _mode_layout(
     mode: DedupMode,
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
-) -> tuple[list[TransmissionPlan], int, Fraction]:
+) -> tuple[list[Feed], Fraction]:
+    """The mode's transmitted stream rows and their total sample rate."""
     if mode is DedupMode.NO_DEDUP:
-        plans = _single_stream_plans(demands)
-        streams = len(demands)
+        rows = [(StreamSpec(d.node, d.kpi, d.period_ms), (d.xapp,)) for d in demands]
     elif mode is DedupMode.WHOLE_REQUEST:
-        plans, streams = _whole_request_plans(requests)
+        rows = _whole_request_rows(requests)
     else:
         state = MergeState()
         state.add_demands(demands)
-        plans = list(state.plans().values())
-        streams = sum(len(p.streams) for p in plans)
-    rate = streams_sample_rate(s for plan in plans for s in plan.streams)
-    return plans, streams, rate
+        rows = [row for plan in state.plans().values() for row in plan.feeds]
+    return rows, streams_sample_rate(stream for stream, _ in rows)
 
 
 def compare(
@@ -252,9 +230,9 @@ def compare(
     demands = [d for r in requests for d in decompose(r)]
 
     layouts = {m: _mode_layout(m, requests, demands) for m in MODE_ORDER}
-    rate_no_dedup = layouts[DedupMode.NO_DEDUP][2]
-    rate_whole = layouts[DedupMode.WHOLE_REQUEST][2]
-    rate_merge = layouts[DedupMode.PER_KPI_MERGE][2]
+    rate_no_dedup = layouts[DedupMode.NO_DEDUP][1]
+    rate_whole = layouts[DedupMode.WHOLE_REQUEST][1]
+    rate_merge = layouts[DedupMode.PER_KPI_MERGE][1]
     if not rate_merge <= rate_whole <= rate_no_dedup:
         raise RuntimeError(
             "sample rates out of order: per_kpi_merge "
@@ -264,14 +242,14 @@ def compare(
 
     results = []
     for mode in MODE_ORDER:
-        plans, streams, rate = layouts[mode]
-        report = sim_run(plans, demands, sim_cfg)
+        rows, rate = layouts[mode]
+        report = sim_run(rows, demands, sim_cfg)
         bytes_per_sec = report.bytes_sent * 1000.0 / sim_cfg.horizon_ms
         gross = power.predict(model, float(rate))
         saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
         pct = saved / gross * 100.0 if saved else 0.0
         results.append(
-            ModeResult(mode, streams, rate, bytes_per_sec, gross, saved, pct)
+            ModeResult(mode, len(rows), rate, bytes_per_sec, gross, saved, pct)
         )
     return ComparisonReport(spec, tuple(results))
 

@@ -1,6 +1,7 @@
 """Deterministic virtual-clock simulation of KPI report traffic.
 
-Every planned stream emits at t = 0, T, 2T, ... below the horizon, all
+Input rows pair each stream with the xApps it feeds (``plan.feeds``).
+Every stream emits at t = 0, T, 2T, ... below the horizon, all
 phase-aligned at t = 0. Each subscribed xApp consumes at its own
 requested period and records the age of the newest sample available
 from its assigned stream at every consumer tick. Message and byte
@@ -21,7 +22,7 @@ from enum import Enum
 from typing import Iterable
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
-from .merge import StreamSpec, TransmissionPlan
+from .merge import Feed, StreamSpec
 
 
 class Batching(str, Enum):
@@ -130,13 +131,12 @@ def _worst_age(sample_period_ms: int, consume_period_ms: int, horizon_ms: int) -
 
 
 def _assignments(
-    plans: Iterable[TransmissionPlan], demands: Iterable[KpiDemand]
+    rows: list[Feed], demands: Iterable[KpiDemand]
 ) -> list[tuple[KpiDemand, StreamSpec]]:
     """Pair every demand with the stream serving it; reject gaps."""
     by_key: dict[tuple[E2NodeId, KpiId, XAppId], StreamSpec] = {}
-    for plan in plans:
-        for xapp, index in plan.fanout.items():
-            stream = plan.streams[index]
+    for stream, xapps in rows:
+        for xapp in xapps:
             key = (stream.node, stream.kpi, xapp)
             if key in by_key:
                 raise ValueError(f"xApp {xapp} served twice for {key[:2]}")
@@ -154,15 +154,14 @@ def _assignments(
 
 
 def run(
-    plans: Iterable[TransmissionPlan],
+    rows: Iterable[Feed],
     demands: Iterable[KpiDemand],
     cfg: SimConfig,
 ) -> SimReport:
-    plans = list(plans)
-    demands = list(demands)
-    pairs = _assignments(plans, demands)
+    rows = list(rows)
+    pairs = _assignments(rows, demands)
 
-    streams = [s for plan in plans for s in plan.streams]
+    streams = [stream for stream, _ in rows]
     for stream in streams:
         if stream.period_ms > cfg.horizon_ms:
             raise ValueError(

@@ -13,8 +13,8 @@ versioned by a byte in the setup request and is deliberately not
 interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
 
 Subscription mutations are serialized through one broker-side lock;
-indication fan-out reads an immutable routing snapshot that is swapped
-atomically whenever plans change.
+indication fan-out reads the engine's plans as a snapshot that is swapped
+atomically whenever plans change, and follows each plan's ``feeds``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import power
@@ -50,6 +51,13 @@ KIND_SUBSCRIBE = 3
 KIND_SUBSCRIBE_REPLY = 4
 KIND_UNSUBSCRIBE = 5
 KIND_INDICATION = 6
+
+# Timeout for connecting and for the node's setup exchange. Cleared once
+# connected: an idle subscription must not end the read loop.
+CONNECT_TIMEOUT_S = 5.0
+
+# Entries kept in the node's and the xApp's emit-time logs (the newest).
+EMIT_LOG_LEN = 1 << 16
 
 # Largest frame accepted, length prefix excluded. An indication carrying
 # 1000 KPIs is about 23 kB; the cap bounds what one length prefix from a
@@ -224,10 +232,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
     chunks = []
     remaining = count
     while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except OSError:
-            return None
+        chunk = sock.recv(remaining)
         if not chunk:
             return None
         chunks.append(chunk)
@@ -239,7 +244,8 @@ def read_frame(sock: socket.socket) -> bytes | None:
     """One full frame from the socket, or None on orderly close.
 
     Raises :class:`CodecError` before reading the body when the length
-    prefix exceeds ``MAX_FRAME_BYTES``.
+    prefix exceeds ``MAX_FRAME_BYTES``, and ``OSError`` when the socket
+    fails or times out.
     """
     prefix = _recv_exact(sock, 4)
     if prefix is None:
@@ -312,8 +318,8 @@ class Broker:
         self._engine = MergeState()
         self._nodes: dict[int, _Peer] = {}
         self._xapps: dict[int, _Peer] = {}
-        # (node, kpi, period_ms) -> xApp ids; replaced wholesale on change.
-        self._routing: dict[tuple[int, str, int], tuple[int, ...]] = {}
+        # Snapshot of the engine's plans; replaced wholesale on change.
+        self._routing = self._engine.plans()
         self.node_traffic: dict[int, NodeTraffic] = {}
 
     @property
@@ -354,9 +360,12 @@ class Broker:
 
     def plan_streams(self, node: int) -> set[tuple[str, int]]:
         with self._lock:
-            return {
-                (kpi, period) for (n, kpi, period) in self._routing if n == node
-            }
+            return {(i.kpi, i.period_ms) for i in self._node_items(node)}
+
+    def _node_items(self, node: int) -> list[SubscriptionItem]:
+        """The node's planned streams by KPI, then period; hold the lock."""
+        plans = [self._routing[key] for key in sorted(self._routing) if key[0] == node]
+        return [SubscriptionItem(s.kpi, s.period_ms) for plan in plans for s in plan.streams]
 
     def _spawn(self, target, name: str) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
@@ -392,6 +401,9 @@ class Broker:
                     msg = decode(frame)
                 except CodecError as exc:
                     reason = f"malformed frame: {exc}"
+                    break
+                except OSError as exc:
+                    reason = f"read failed: {exc}"
                     break
                 if isinstance(msg, SetupRequest) and node_id is None and xapp_id is None:
                     node_id = self._handle_setup(peer, msg)
@@ -432,11 +444,7 @@ class Broker:
                 return None
             self._nodes[msg.node] = peer
             self.node_traffic.setdefault(msg.node, NodeTraffic())
-            backlog = tuple(
-                SubscriptionItem(kpi, period)
-                for (n, kpi, period) in sorted(self._routing)
-                if n == msg.node
-            )
+            backlog = tuple(self._node_items(msg.node))
         peer.send(SetupResponse(msg.node, True))
         if backlog:
             peer.send(Subscribe(BROKER_SENDER, msg.node, backlog))
@@ -463,7 +471,7 @@ class Broker:
                 except DuplicateDemandError as exc:
                     failure = str(exc)
                 else:
-                    self._refresh_routing()
+                    self._routing = self._engine.plans()
                     self._push_changes(changes)
         if failure is not None:
             peer.send(SubscribeReply(msg.node, False, failure))
@@ -478,7 +486,7 @@ class Broker:
                     changes.extend(self._engine.remove_demand(msg.sender, msg.node, kpi))
                 except UnknownDemandError:
                     pass
-            self._refresh_routing()
+            self._routing = self._engine.plans()
             self._push_changes(changes)
 
     def _handle_indication(self, msg: Indication, frame_len: int) -> None:
@@ -489,24 +497,17 @@ class Broker:
         routing = self._routing  # snapshot reference; safe to read unlocked
         per_xapp: dict[int, list[tuple[str, int]]] = {}
         for kpi, sample_time in msg.samples:
-            for xapp in routing.get((msg.node, kpi, msg.period_ms), ()):
-                per_xapp.setdefault(xapp, []).append((kpi, sample_time))
+            plan = routing.get((msg.node, kpi))
+            for stream, xapps in plan.feeds if plan else ():
+                if stream.period_ms == msg.period_ms:
+                    for xapp in xapps:
+                        per_xapp.setdefault(xapp, []).append((kpi, sample_time))
         for xapp, samples in per_xapp.items():
             peer = self._xapps.get(xapp)
             if peer is not None:
                 peer.send(
                     Indication(msg.node, msg.emit_time_ms, msg.period_ms, tuple(samples))
                 )
-
-    def _refresh_routing(self) -> None:
-        routing: dict[tuple[int, str, int], tuple[int, ...]] = {}
-        for (node, kpi), plan in self._engine.plans().items():
-            for index, stream in enumerate(plan.streams):
-                xapps = tuple(
-                    sorted(x for x, i in plan.fanout.items() if i == index)
-                )
-                routing[(node, kpi, stream.period_ms)] = xapps
-        self._routing = routing
 
     def _push_changes(self, changes) -> None:
         adds: dict[int, list[SubscriptionItem]] = {}
@@ -544,7 +545,7 @@ class Broker:
             if xapp_id is not None and self._xapps.get(xapp_id) is peer:
                 del self._xapps[xapp_id]
                 changes = self._engine.remove_xapp(xapp_id)
-                self._refresh_routing()
+                self._routing = self._engine.plans()
                 self._push_changes(changes)
 
 
@@ -578,6 +579,8 @@ class NodeEmulator:
         self.emitted_messages = 0
         self.emitted_samples = 0
         self.first_emit_monotonic: float | None = None
+        # Emit time of each indication sent, logged just before its send.
+        self.emit_times: deque[int] = deque(maxlen=EMIT_LOG_LEN)
 
     def start(self) -> None:
         sock = self._connect_with_retry()
@@ -590,6 +593,7 @@ class NodeEmulator:
         if not isinstance(reply, SetupResponse) or not reply.accepted:
             reason = reply.reason if isinstance(reply, SetupResponse) else "bad reply"
             raise ConnectionError(f"setup rejected: {reason}")
+        sock.settimeout(None)
         self._t0 = time.monotonic()
         self._reader = threading.Thread(
             target=self._read_loop, name=f"node-{self.node_id}", daemon=True
@@ -601,7 +605,7 @@ class NodeEmulator:
         delay = self._backoff_s
         for attempt in range(self._connect_attempts):
             try:
-                return socket.create_connection(self._addr, timeout=5)
+                return socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
             except OSError as exc:
                 if attempt == self._connect_attempts - 1:
                     raise ConnectionError(
@@ -631,14 +635,19 @@ class NodeEmulator:
     def _read_loop(self) -> None:
         assert self._peer is not None
         sock = self._peer.sock
+        reason = "stopped"
         while not self._stopping.is_set():
             try:
                 frame = read_frame(sock)
                 if frame is None:
+                    reason = "broker closed the connection"
                     break
                 msg = decode(frame)
             except CodecError as exc:
-                logger.warning("node %d: bad frame from broker: %s", self.node_id, exc)
+                reason = f"bad frame from broker: {exc}"
+                break
+            except OSError as exc:
+                reason = f"read failed: {exc}"
                 break
             if isinstance(msg, Subscribe):
                 with self._lock:
@@ -653,6 +662,8 @@ class NodeEmulator:
                             kpis.discard(kpi)
                             if not kpis:
                                 del self._streams[period]
+        level = logging.INFO if self._stopping.is_set() else logging.WARNING
+        logger.log(level, "node %d: reader stopped (%s)", self.node_id, reason)
 
     def _ensure_timer(self, period_ms: int) -> None:
         if period_ms in self._timers and self._timers[period_ms].is_alive():
@@ -681,7 +692,9 @@ class NodeEmulator:
                 msg = Indication(
                     self.node_id, now_ms, period_ms, tuple((k, now_ms) for k in kpis)
                 )
+                self.emit_times.append(now_ms)
                 if not self._peer.send(msg):
+                    self.emit_times.remove(now_ms)  # never left the node
                     return
                 if self.first_emit_monotonic is None:
                     self.first_emit_monotonic = time.monotonic()
@@ -708,9 +721,11 @@ class XAppClient:
         self.received_messages = 0
         self.received_samples = 0
         self.samples_per_kpi: dict[str, int] = {}
+        self.emit_times: deque[int] = deque(maxlen=EMIT_LOG_LEN)  # as received
 
     def connect(self) -> None:
-        sock = socket.create_connection(self._addr, timeout=5)
+        sock = socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
+        sock.settimeout(None)
         self._peer = _Peer(sock)
         self._reader = threading.Thread(
             target=self._read_loop, name=f"xapp-{self.xapp_id}", daemon=True
@@ -745,14 +760,19 @@ class XAppClient:
     def _read_loop(self) -> None:
         assert self._peer is not None
         sock = self._peer.sock
+        reason = "stopped"
         while not self._stopping.is_set():
             try:
                 frame = read_frame(sock)
                 if frame is None:
+                    reason = "broker closed the connection"
                     break
                 msg = decode(frame)
             except CodecError as exc:
-                logger.warning("xApp %d: bad frame: %s", self.xapp_id, exc)
+                reason = f"bad frame from broker: {exc}"
+                break
+            except OSError as exc:
+                reason = f"read failed: {exc}"
                 break
             if isinstance(msg, SubscribeReply):
                 with self._reply_ready:
@@ -761,8 +781,11 @@ class XAppClient:
             elif isinstance(msg, Indication):
                 self.received_messages += 1
                 self.received_samples += len(msg.samples)
+                self.emit_times.append(msg.emit_time_ms)
                 for kpi, _ in msg.samples:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
+        level = logging.INFO if self._stopping.is_set() else logging.WARNING
+        logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, reason)
 
 
 def broker_serve(

@@ -332,6 +332,26 @@ class TestTransmissionPlan:
         with pytest.raises(ValueError):
             TransmissionPlan(streams, {1: 0, 2: 1})
 
+    def test_feeds_invert_the_fanout(self):
+        streams = (StreamSpec(0, "a", 10), StreamSpec(0, "a", 15), StreamSpec(0, "a", 7))
+        plan = TransmissionPlan(streams, {5: 1, 2: 0, 9: 1, 3: 2, 1: 0})
+        assert plan.feeds == ((streams[0], (1, 2)), (streams[1], (5, 9)), (streams[2], (3,)))
+        assert plan.feeds is plan.feeds  # computed once per plan
+
+    def test_engine_plan_feeds_serve_each_xapp_once(self):
+        state = MergeState()
+        for xapp, period in [(4, 15), (1, 10), (3, 20), (2, 15), (0, 7)]:
+            state.add_demand(demand(xapp, period))
+        plan = state.plan_for(0, "a")
+        # 10, 15, 15 and 20 ms gcd-merge to 5 ms; 7 ms stays apart.
+        assert plan.feeds == ((StreamSpec(0, "a", 5), (1, 2, 3, 4)), (StreamSpec(0, "a", 7), (0,)))
+        assert [stream for stream, _ in plan.feeds] == list(plan.streams)
+        served = [x for _, xapps in plan.feeds for x in xapps]
+        assert sorted(served) == sorted(plan.fanout)
+        for stream, xapps in plan.feeds:
+            assert list(xapps) == sorted(xapps)
+            assert all(plan.stream_for(x) == stream for x in xapps)
+
     def test_sample_rate_helper(self):
         streams = [StreamSpec(0, "a", 10), StreamSpec(0, "b", 10), StreamSpec(1, "a", 4)]
         assert streams_sample_rate(streams) == 450

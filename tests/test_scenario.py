@@ -130,10 +130,10 @@ class TestCompare:
         original = scenario._mode_layout
 
         def inflated_merge(mode, requests, demands):
-            plans, streams, rate = original(mode, requests, demands)
+            rows, rate = original(mode, requests, demands)
             if mode is DedupMode.PER_KPI_MERGE:
                 rate += 1
-            return plans, streams, rate
+            return rows, rate
 
         monkeypatch.setattr(scenario, "_mode_layout", inflated_merge)
         spec = ScenarioSpec(2, 2, 10, 0.0, seed=1)

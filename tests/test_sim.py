@@ -10,18 +10,25 @@ from ricmerge.sim import (
     Batching,
     SimConfig,
     SimReport,
-    _assignments,
     run,
     staleness_oracle,
 )
 
 
 def reference_run(plans, demands, cfg):
-    """Tick-by-tick reference for ``run``: walks every stream tick and every
-    consumer tick below the horizon, O(streams x horizon / period)."""
+    """Tick-by-tick reference for ``run``, over plans rather than stream
+    rows: walks every stream tick and every consumer tick below the
+    horizon, O(streams x horizon / period)."""
     plans = list(plans)
-    demands = list(demands)
-    pairs = _assignments(plans, demands)
+    served = {}
+    for plan in plans:
+        for xapp, index in plan.fanout.items():
+            stream = plan.streams[index]
+            key = (stream.node, stream.kpi, xapp)
+            if key in served:
+                raise ValueError("xApp served twice")
+            served[key] = stream
+    pairs = [(d, served[d.node, d.kpi, d.xapp]) for d in demands]
     streams = [s for plan in plans for s in plan.streams]
     for stream in streams:
         if stream.period_ms > cfg.horizon_ms:
@@ -65,27 +72,33 @@ def single_plan(node, kpi, period, xapps):
     return TransmissionPlan((StreamSpec(node, kpi, period),), {x: 0 for x in xapps})
 
 
+def feeds(plans):
+    """The stream rows ``run`` takes, read from each plan's ``feeds``."""
+    return [row for plan in plans for row in plan.feeds]
+
+
 def uniform_setup(nodes, kpis, period=10):
-    """One xApp subscribing every KPI of every node at one period."""
+    """One xApp subscribing every KPI of every node at one period, as
+    stream rows and demands."""
     plans, demands = [], []
     for node in range(nodes):
         for k in range(kpis):
             kpi = f"KPI{k:04d}"
             plans.append(single_plan(node, kpi, period, [0]))
             demands.append(KpiDemand(0, node, kpi, period))
-    return plans, demands
+    return feeds(plans), demands
 
 
 class TestRun:
     def test_single_stream_sample_count(self):
-        plans, demands = uniform_setup(1, 1)
-        report = run(plans, demands, SimConfig(horizon_ms=1000))
+        rows, demands = uniform_setup(1, 1)
+        report = run(rows, demands, SimConfig(horizon_ms=1000))
         assert report.samples_sent == 100
         assert report.per_stream_sample_counts[StreamSpec(0, "KPI0000", 10)] == 100
 
     def test_default_traffic_calibration(self):
-        plans, demands = uniform_setup(26, 7)
-        report = run(plans, demands, SimConfig(horizon_ms=1000))
+        rows, demands = uniform_setup(26, 7)
+        report = run(rows, demands, SimConfig(horizon_ms=1000))
         assert report.bytes_sent == 26 * 100 * 7 * 1000
         # one batched message per node per instant
         assert report.messages_sent == 26 * 100
@@ -97,19 +110,19 @@ class TestRun:
             )
         ]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15)]
-        report = run(plans, demands, SimConfig(horizon_ms=30))
+        report = run(feeds(plans), demands, SimConfig(horizon_ms=30))
         assert report.per_xapp_max_staleness == {1: 0, 2: 0}
 
     def test_horizon_shorter_than_period_rejected(self):
-        plans, demands = uniform_setup(1, 1, period=50)
+        rows, demands = uniform_setup(1, 1, period=50)
         with pytest.raises(ValueError):
-            run(plans, demands, SimConfig(horizon_ms=40))
+            run(rows, demands, SimConfig(horizon_ms=40))
 
     def test_unserved_demand_rejected(self):
-        plans, _ = uniform_setup(1, 1)
+        rows, _ = uniform_setup(1, 1)
         orphan = [KpiDemand(9, 0, "missing", 10)]
         with pytest.raises(ValueError):
-            run(plans, orphan, SimConfig(horizon_ms=100))
+            run(rows, orphan, SimConfig(horizon_ms=100))
 
     def test_tolerated_slow_consumer_staleness_measured(self):
         state = MergeState()
@@ -118,7 +131,7 @@ class TestRun:
         plan = state.plan_for(0, "a")
         assert [s.period_ms for s in plan.streams] == [10]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15, 6)]
-        report = run([plan], demands, SimConfig(horizon_ms=300))
+        report = run(plan.feeds, demands, SimConfig(horizon_ms=300))
         assert report.per_xapp_max_staleness[2] == 5
         assert report.per_xapp_max_staleness[2] < 6
         assert report.per_xapp_max_staleness[1] == 0
@@ -135,16 +148,16 @@ class TestRun:
             assert abs(scaled - kpis * base) / (kpis * base) < 1e-9
 
     def test_deterministic_reports(self):
-        plans, demands = uniform_setup(3, 4)
+        rows, demands = uniform_setup(3, 4)
         cfg = SimConfig(horizon_ms=500, header_bytes=20)
-        assert run(plans, demands, cfg).to_json() == run(plans, demands, cfg).to_json()
+        assert run(rows, demands, cfg).to_json() == run(rows, demands, cfg).to_json()
 
     def test_exact_duplicate_streams_accumulate_counts(self):
         # Two xApps transmitted separately at identical (node, kpi, period):
         # totals must count both, and the per-stream map must add up.
         plans = [single_plan(0, "a", 10, [1]), single_plan(0, "a", 10, [2])]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 10)]
-        report = run(plans, demands, SimConfig(horizon_ms=100))
+        report = run(feeds(plans), demands, SimConfig(horizon_ms=100))
         assert report.samples_sent == 20
         assert report.per_stream_sample_counts[StreamSpec(0, "a", 10)] == 20
         assert sum(report.per_stream_sample_counts.values()) == report.samples_sent
@@ -153,16 +166,16 @@ class TestRun:
         assert report.bytes_sent == 20 * 1000
 
     def test_per_stream_batching_bytes(self):
-        plans, demands = uniform_setup(2, 3)
+        rows, demands = uniform_setup(2, 3)
         cfg = SimConfig(horizon_ms=100, header_bytes=40, batching=Batching.PER_STREAM)
-        report = run(plans, demands, cfg)
+        report = run(rows, demands, cfg)
         assert report.messages_sent == 2 * 3 * 10
         assert report.bytes_sent == report.messages_sent * (40 + 1000)
 
     def test_per_node_batching_shares_header(self):
-        plans, demands = uniform_setup(2, 3)
+        rows, demands = uniform_setup(2, 3)
         cfg = SimConfig(horizon_ms=100, header_bytes=40)
-        report = run(plans, demands, cfg)
+        report = run(rows, demands, cfg)
         assert report.messages_sent == 2 * 10
         assert report.bytes_sent == 2 * 10 * 40 + report.samples_sent * 1000
 
@@ -173,14 +186,14 @@ class TestRun:
             )
         ]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15)]
-        report = run(plans, demands, SimConfig(horizon_ms=30, header_bytes=1))
+        report = run(feeds(plans), demands, SimConfig(horizon_ms=30, header_bytes=1))
         # instants 0,10,15,20 with 0 shared by both streams
         assert report.messages_sent == 4
         assert report.samples_sent == 5
 
     def test_json_schema_stable(self):
-        plans, demands = uniform_setup(1, 2)
-        doc = run(plans, demands, SimConfig(horizon_ms=20)).to_json()
+        rows, demands = uniform_setup(1, 2)
+        doc = run(rows, demands, SimConfig(horizon_ms=20)).to_json()
         assert doc == (
             '{"bytes_sent": 4000, "messages_sent": 2, '
             '"per_stream_sample_counts": {"0:KPI0000:10": 2, "0:KPI0001:10": 2}, '
@@ -208,7 +221,7 @@ def test_tolerated_merge_never_exceeds_declared_tolerance(ti, tj, tolerance, mul
         return  # not the tolerance-gated sharing path
     demands = [KpiDemand(1, 0, "a", ti), KpiDemand(2, 0, "a", tj, tolerance)]
     horizon = math.lcm(ti, tj) * multiple
-    report = run([plan], demands, SimConfig(horizon_ms=horizon))
+    report = run(plan.feeds, demands, SimConfig(horizon_ms=horizon))
     assert report.per_xapp_max_staleness[2] < tolerance
 
 
@@ -226,7 +239,7 @@ def test_counts_over_one_hyperperiod_match_pairwise_counts(ti, tj):
         KpiDemand(1, 1, "m", ti),
         KpiDemand(1, 2, "m", tj),
     ]
-    report = run(plans, demands, SimConfig(horizon_ms=hyper))
+    report = run(feeds(plans), demands, SimConfig(horizon_ms=hyper))
     counts = sample_counts(ti, tj)
     assert report.per_stream_sample_counts[StreamSpec(0, "m", gcd)] == counts.merged
     assert report.per_stream_sample_counts[StreamSpec(1, "m", ti)] == counts.first
@@ -290,7 +303,8 @@ def test_run_matches_tick_reference(data):
         bytes_per_sample=data.draw(st.integers(1, 2000)),
         batching=data.draw(st.sampled_from(Batching)),
     )
-    assert run(plans, demands, cfg).to_json() == reference_run(plans, demands, cfg).to_json()
+    expected = reference_run(plans, demands, cfg)
+    assert run(feeds(plans), demands, cfg).to_json() == expected.to_json()
 
 
 def test_staleness_oracle_matches_closed_form():
@@ -309,7 +323,7 @@ class TestHyperperiodLongerThanHorizon:
         cfg = SimConfig(horizon_ms=1000)
         tracemalloc.start()
         try:
-            report = run(plans, demands, cfg)
+            report = run(feeds(plans), demands, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,7 +336,7 @@ class TestHyperperiodLongerThanHorizon:
         plans = [single_plan(0, "a", 997, [1])]
         demands = [KpiDemand(1, 0, "a", 991)]
         cfg = SimConfig(horizon_ms=1000)
-        report = run(plans, demands, cfg)
+        report = run(feeds(plans), demands, cfg)
         # consumer ticks 0 and 991 see the t = 0 sample only
         assert report.per_xapp_max_staleness == {1: 991}
         assert report.to_json() == reference_run(plans, demands, cfg).to_json()

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricmerge import wire
 from ricmerge.e2model import SubscriptionItem
 from ricmerge.wire import (
     BROKER_SENDER,
@@ -135,6 +136,86 @@ class TestFrameCap:
             sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
             assert sock.recv(1) == b""
         assert wait_until(lambda: "malformed frame: frame too large" in caplog.text)
+
+
+class FakePeer:
+    """Stands in for a connected peer; records what the broker sends it."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+        return True
+
+
+class TestRouting:
+    def test_indication_reaches_only_the_xapps_of_its_period(self):
+        broker = Broker()
+        node, fast, slow = FakePeer(), FakePeer(), FakePeer()
+        assert broker._handle_setup(node, SetupRequest(1)) == 1
+        broker._xapps.update({10: fast, 11: slow})
+        a40, a60 = SubscriptionItem("a", 40), SubscriptionItem("a", 60)
+        b60 = SubscriptionItem("b", 60)
+        broker._handle_subscribe(fast, Subscribe(10, 1, (b60,)))
+        broker._handle_subscribe(fast, Subscribe(10, 1, (a40,)))
+        broker._handle_subscribe(slow, Subscribe(11, 1, (a60,)))
+        assert fast.sent == [SubscribeReply(1, True)] * 2
+        assert slow.sent == [SubscribeReply(1, True)]
+        # 40 and 60 ms without tolerance: two streams for KPI "a".
+        assert broker.plan_streams(1) == {("a", 40), ("a", 60), ("b", 60)}
+        fast.sent.clear()
+        slow.sent.clear()
+
+        broker._handle_indication(Indication(1, 0, 60, (("a", 0), ("b", 0))), 50)
+        broker._handle_indication(Indication(1, 0, 40, (("a", 0), ("b", 0))), 50)
+        broker._handle_indication(Indication(1, 0, 20, (("a", 0),)), 50)
+        assert fast.sent == [
+            Indication(1, 0, 60, (("b", 0),)),
+            Indication(1, 0, 40, (("a", 0),)),
+        ]
+        assert slow.sent == [Indication(1, 0, 60, (("a", 0),))]
+
+        # A node that sets up again gets the same streams, by KPI then period.
+        del broker._nodes[1]
+        again = FakePeer()
+        broker._handle_setup(again, SetupRequest(1))
+        assert again.sent == [SetupResponse(1, True), Subscribe(BROKER_SENDER, 1, (a40, a60, b60))]
+
+
+class TestIdleConnections:
+    def test_subscription_after_idle_reaches_the_node(self, broker, monkeypatch):
+        monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.2)
+        host, port = broker.address
+        node = NodeEmulator(host, port, node_id=5)
+        node.start()
+        client = XAppClient(host, port, 50)
+        client.connect()
+        try:
+            time.sleep(0.6)  # three connect timeouts without traffic
+            assert client.subscribe(5, (SubscriptionItem("K0", 50),)).accepted
+            assert wait_until(lambda: node.active_streams() == {("K0", 50)})
+            assert wait_until(lambda: client.received_messages >= 2)
+        finally:
+            client.close()
+            node.stop()
+
+    def test_node_logs_why_its_reader_stopped(self, caplog):
+        caplog.set_level(logging.INFO, logger="ricmerge.wire")
+        broker = Broker()
+        broker.start()
+        node = NodeEmulator(*broker.address, node_id=6)
+        node.start()
+        try:
+            broker.stop()
+            assert wait_until(
+                lambda: any(
+                    r.levelno == logging.WARNING and "node 6: reader stopped (" in r.getMessage()
+                    for r in caplog.records
+                )
+            )
+        finally:
+            node.stop()
 
 
 class TestLiveMode:
