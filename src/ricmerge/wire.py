@@ -15,6 +15,10 @@ interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
 Subscription mutations are serialized through one broker-side lock;
 indication fan-out reads the engine's plans as a snapshot that is swapped
 atomically whenever plans change, and follows each plan's ``feeds``.
+
+Threads: the broker runs an accept thread, one thread per connection and
+a stats thread; a node runs a reader and an emitter; an xApp runs a
+reader. Every reader iterates :meth:`_Peer.messages`.
 """
 
 from __future__ import annotations
@@ -262,11 +266,33 @@ def read_frame(sock: socket.socket) -> bytes | None:
 
 
 class _Peer:
-    """A connected socket with serialized writes."""
+    """A connected socket with serialized writes and the one read loop."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._send_lock = threading.Lock()
+        self.reason = "stopped"  # why messages() ended, for the caller's log
+
+    def messages(self, stopping: threading.Event):
+        """Yield ``(message, frame_size)`` until ``stopping`` is set or the
+        connection ends, leaving the reason in ``self.reason``.
+
+        A caller that ends the connection itself sets ``reason`` and breaks.
+        """
+        while not stopping.is_set():
+            try:
+                frame = read_frame(self.sock)
+                if frame is None:
+                    self.reason = "connection closed"
+                    return
+                msg = decode(frame)
+            except CodecError as exc:
+                self.reason = f"malformed frame: {exc}"
+                return
+            except OSError as exc:
+                self.reason = f"read failed: {exc}"
+                return
+            yield msg, len(frame)
 
     def send(self, msg: WireMessage) -> bool:
         try:
@@ -391,46 +417,34 @@ class Broker:
         peer = _Peer(sock)
         node_id: int | None = None
         xapp_id: int | None = None
-        reason = "connection closed"
         try:
-            while not self._stopping.is_set():
-                try:
-                    frame = read_frame(sock)
-                    if frame is None:
-                        break
-                    msg = decode(frame)
-                except CodecError as exc:
-                    reason = f"malformed frame: {exc}"
-                    break
-                except OSError as exc:
-                    reason = f"read failed: {exc}"
-                    break
+            for msg, frame_size in peer.messages(self._stopping):
                 if isinstance(msg, SetupRequest) and node_id is None and xapp_id is None:
                     node_id = self._handle_setup(peer, msg)
                     if node_id is None:
-                        reason = "setup rejected"
+                        peer.reason = "setup rejected"
                         break
                 elif isinstance(msg, Indication) and node_id is not None:
-                    self._handle_indication(msg, len(frame))
+                    self._handle_indication(msg, frame_size)
                 elif isinstance(msg, Subscribe) and node_id is None:
                     if xapp_id is None:
                         xapp_id = msg.sender
                         with self._lock:
                             self._xapps[xapp_id] = peer
                     elif msg.sender != xapp_id:
-                        reason = "sender id changed mid-connection"
+                        peer.reason = "sender id changed mid-connection"
                         break
                     self._handle_subscribe(peer, msg)
                 elif isinstance(msg, Unsubscribe) and node_id is None and xapp_id is not None:
                     if msg.sender != xapp_id:
-                        reason = "sender id changed mid-connection"
+                        peer.reason = "sender id changed mid-connection"
                         break
                     self._handle_unsubscribe(msg)
                 else:
-                    reason = f"unexpected {type(msg).__name__} on this connection"
+                    peer.reason = f"unexpected {type(msg).__name__} on this connection"
                     break
         finally:
-            logger.info("connection %s closed (%s)", addr, reason)
+            logger.info("connection %s closed (%s)", addr, peer.reason)
             self._cleanup(peer, node_id, xapp_id)
             peer.close()
 
@@ -467,12 +481,9 @@ class Broker:
                     for i in msg.items
                 ]
                 try:
-                    changes = self._engine.add_demands(demands)
+                    self._commit(self._engine.add_demands(demands))
                 except DuplicateDemandError as exc:
                     failure = str(exc)
-                else:
-                    self._routing = self._engine.plans()
-                    self._push_changes(changes)
         if failure is not None:
             peer.send(SubscribeReply(msg.node, False, failure))
         else:
@@ -486,8 +497,7 @@ class Broker:
                     changes.extend(self._engine.remove_demand(msg.sender, msg.node, kpi))
                 except UnknownDemandError:
                     pass
-            self._routing = self._engine.plans()
-            self._push_changes(changes)
+            self._commit(changes)
 
     def _handle_indication(self, msg: Indication, frame_len: int) -> None:
         traffic = self.node_traffic[msg.node]
@@ -509,34 +519,32 @@ class Broker:
                     Indication(msg.node, msg.emit_time_ms, msg.period_ms, tuple(samples))
                 )
 
-    def _push_changes(self, changes) -> None:
+    def _commit(self, changes) -> None:
+        """Publish the engine's plans and push ``changes`` to the nodes; hold the lock.
+
+        Subscribes go out before unsubscribes, so a retimed KPI is never
+        without a stream on its node. No (KPI, period) is both added and
+        dropped in one commit, so the order cannot undo an add.
+        """
+        self._routing = self._engine.plans()
         adds: dict[int, list[SubscriptionItem]] = {}
         drops: dict[int, list[tuple[str, int]]] = {}
         for change in changes:
-            stream = change.stream
-            if change.action is ChangeAction.ADDED:
-                adds.setdefault(stream.node, []).append(
-                    SubscriptionItem(stream.kpi, stream.period_ms)
-                )
-            elif change.action is ChangeAction.REMOVED:
-                drops.setdefault(stream.node, []).append((stream.kpi, stream.period_ms))
+            if change.action is ChangeAction.REMOVED:
+                new, old = None, change.stream
             else:
-                previous = change.previous
-                assert previous is not None
-                drops.setdefault(previous.node, []).append(
-                    (previous.kpi, previous.period_ms)
-                )
-                adds.setdefault(stream.node, []).append(
-                    SubscriptionItem(stream.kpi, stream.period_ms)
-                )
-        for node, items in drops.items():
-            peer = self._nodes.get(node)
-            if peer is not None:
-                peer.send(Unsubscribe(BROKER_SENDER, node, tuple(items)))
-        for node, items in adds.items():
-            peer = self._nodes.get(node)
-            if peer is not None:
-                peer.send(Subscribe(BROKER_SENDER, node, tuple(items)))
+                new, old = change.stream, change.previous
+            if new is not None:
+                adds.setdefault(new.node, []).append(SubscriptionItem(new.kpi, new.period_ms))
+            if old is not None:
+                drops.setdefault(old.node, []).append((old.kpi, old.period_ms))
+        for message, per_node in ((Subscribe, adds), (Unsubscribe, drops)):
+            for node, items in per_node.items():
+                peer = self._nodes.get(node)
+                if peer is not None and not peer.send(message(BROKER_SENDER, node, tuple(items))):
+                    logger.warning(
+                        "node %d: %s of %s not delivered", node, message.__name__, items
+                    )
 
     def _cleanup(self, peer: _Peer, node_id: int | None, xapp_id: int | None) -> None:
         with self._lock:
@@ -544,17 +552,17 @@ class Broker:
                 del self._nodes[node_id]
             if xapp_id is not None and self._xapps.get(xapp_id) is peer:
                 del self._xapps[xapp_id]
-                changes = self._engine.remove_xapp(xapp_id)
-                self._routing = self._engine.plans()
-                self._push_changes(changes)
+                self._commit(self._engine.remove_xapp(xapp_id))
 
 
 class NodeEmulator:
     """E2-node stand-in: honors subscription plans with wall-clock timers.
 
-    Each distinct report period runs its own timer emitting one
-    indication per tick carrying every KPI subscribed at that period
-    (node-and-period batching).
+    A node runs two threads: a reader that applies the broker's
+    subscription messages, and an emitter that sends one indication per
+    tick of each subscribed period, carrying every KPI subscribed at that
+    period (node-and-period batching). A period ticks as soon as it is
+    first subscribed, then once per period.
     """
 
     def __init__(
@@ -573,8 +581,9 @@ class NodeEmulator:
         self._stopping = threading.Event()
         self._lock = threading.Lock()
         self._streams: dict[int, set[str]] = {}  # period_ms -> kpis
-        self._timers: dict[int, threading.Thread] = {}
-        self._reader: threading.Thread | None = None
+        self._due: dict[int, float] = {}  # period_ms -> next tick (monotonic)
+        self._wake = threading.Condition(self._lock)  # wakes the emitter
+        self._threads: list[threading.Thread] = []
         self._t0 = 0.0
         self.emitted_messages = 0
         self.emitted_samples = 0
@@ -595,10 +604,13 @@ class NodeEmulator:
             raise ConnectionError(f"setup rejected: {reason}")
         sock.settimeout(None)
         self._t0 = time.monotonic()
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"node-{self.node_id}", daemon=True
-        )
-        self._reader.start()
+        for target, name in (
+            (self._read_loop, f"node-{self.node_id}"),
+            (self._emit_loop, f"node-{self.node_id}-emit"),
+        ):
+            thread = threading.Thread(target=target, name=name, daemon=True)
+            thread.start()
+            self._threads.append(thread)
         logger.info("node %d attached to broker", self.node_id)
 
     def _connect_with_retry(self) -> socket.socket:
@@ -617,12 +629,12 @@ class NodeEmulator:
 
     def stop(self) -> None:
         self._stopping.set()
+        with self._wake:
+            self._wake.notify()
         if self._peer is not None:
             self._peer.close()
-        for timer in self._timers.values():
-            timer.join(timeout=5)
-        if self._reader is not None:
-            self._reader.join(timeout=5)
+        for thread in self._threads:
+            thread.join(timeout=5)
 
     def active_streams(self) -> set[tuple[str, int]]:
         with self._lock:
@@ -634,26 +646,14 @@ class NodeEmulator:
 
     def _read_loop(self) -> None:
         assert self._peer is not None
-        sock = self._peer.sock
-        reason = "stopped"
-        while not self._stopping.is_set():
-            try:
-                frame = read_frame(sock)
-                if frame is None:
-                    reason = "broker closed the connection"
-                    break
-                msg = decode(frame)
-            except CodecError as exc:
-                reason = f"bad frame from broker: {exc}"
-                break
-            except OSError as exc:
-                reason = f"read failed: {exc}"
-                break
+        for msg, _ in self._peer.messages(self._stopping):
             if isinstance(msg, Subscribe):
-                with self._lock:
+                now = time.monotonic()
+                with self._wake:
                     for item in msg.items:
                         self._streams.setdefault(item.period_ms, set()).add(item.kpi)
-                        self._ensure_timer(item.period_ms)
+                        self._due.setdefault(item.period_ms, now)
+                    self._wake.notify()
             elif isinstance(msg, Unsubscribe):
                 with self._lock:
                     for kpi, period in msg.items:
@@ -663,48 +663,49 @@ class NodeEmulator:
                             if not kpis:
                                 del self._streams[period]
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
-        logger.log(level, "node %d: reader stopped (%s)", self.node_id, reason)
+        logger.log(level, "node %d: reader stopped (%s)", self.node_id, self._peer.reason)
 
-    def _ensure_timer(self, period_ms: int) -> None:
-        if period_ms in self._timers and self._timers[period_ms].is_alive():
-            return
-        timer = threading.Thread(
-            target=self._emit_loop,
-            args=(period_ms,),
-            name=f"node-{self.node_id}-timer-{period_ms}",
-            daemon=True,
-        )
-        self._timers[period_ms] = timer
-        timer.start()
+    def _emit_loop(self) -> None:
+        """Send each due period's indication; sleep until the next is due.
 
-    def _emit_loop(self, period_ms: int) -> None:
+        A period left without KPIs is dropped from ``_due`` at its next
+        tick, so a re-subscription before then keeps its schedule. Sends
+        happen outside the lock, so a blocked socket cannot stall the reader.
+        """
         assert self._peer is not None
-        base = time.monotonic()
-        tick = 0
-        while not self._stopping.is_set():
-            with self._lock:
-                kpis = sorted(self._streams.get(period_ms, ()))
-                live = period_ms in self._streams
-            if not live:
-                return
-            if kpis:
+        while True:
+            with self._wake:
+                if self._stopping.is_set():
+                    return
+                now = time.monotonic()
+                ready = []
+                for period, due in sorted(self._due.items()):
+                    if due > now:
+                        continue
+                    kpis = sorted(self._streams.get(period, ()))
+                    if kpis:
+                        ready.append((period, kpis))
+                        self._due[period] = due + period / 1000.0
+                    else:
+                        del self._due[period]
+                if not ready:
+                    next_due = min(self._due.values(), default=None)
+                    self._wake.wait(None if next_due is None else next_due - now)
+                    continue
+            for period, kpis in ready:
                 now_ms = int((time.monotonic() - self._t0) * 1000)
-                msg = Indication(
-                    self.node_id, now_ms, period_ms, tuple((k, now_ms) for k in kpis)
-                )
                 self.emit_times.append(now_ms)
-                if not self._peer.send(msg):
-                    self.emit_times.remove(now_ms)  # never left the node
+                if not self._peer.send(
+                    Indication(self.node_id, now_ms, period, tuple((k, now_ms) for k in kpis))
+                ):
+                    self.emit_times.pop()  # never left the node
+                    level = logging.INFO if self._stopping.is_set() else logging.WARNING
+                    logger.log(level, "node %d: emitter stopped (send failed)", self.node_id)
                     return
                 if self.first_emit_monotonic is None:
                     self.first_emit_monotonic = time.monotonic()
                 self.emitted_messages += 1
                 self.emitted_samples += len(kpis)
-            tick += 1
-            deadline = base + tick * period_ms / 1000.0
-            delay = deadline - time.monotonic()
-            if delay > 0 and self._stopping.wait(delay):
-                return
 
 
 class XAppClient:
@@ -759,21 +760,7 @@ class XAppClient:
 
     def _read_loop(self) -> None:
         assert self._peer is not None
-        sock = self._peer.sock
-        reason = "stopped"
-        while not self._stopping.is_set():
-            try:
-                frame = read_frame(sock)
-                if frame is None:
-                    reason = "broker closed the connection"
-                    break
-                msg = decode(frame)
-            except CodecError as exc:
-                reason = f"bad frame from broker: {exc}"
-                break
-            except OSError as exc:
-                reason = f"read failed: {exc}"
-                break
+        for msg, _ in self._peer.messages(self._stopping):
             if isinstance(msg, SubscribeReply):
                 with self._reply_ready:
                     self._replies.append(msg)
@@ -785,7 +772,22 @@ class XAppClient:
                 for kpi, _ in msg.samples:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
-        logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, reason)
+        logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, self._peer.reason)
+
+
+def _run(stop, duration_s: float | None = None, first=lambda: None) -> None:
+    """Call ``first``, then sleep for ``duration_s``, or until Ctrl-C when
+    it is None; then call ``stop``. Ctrl-C during either step is not an error.
+    """
+    try:
+        first()
+        while duration_s is None:
+            time.sleep(3600)
+        time.sleep(duration_s)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        stop()
 
 
 def broker_serve(
@@ -797,26 +799,14 @@ def broker_serve(
     """Run a broker until interrupted."""
     broker = Broker(host, port, model, stats_interval_s)
     broker.start()
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        broker.stop()
+    _run(broker.stop)
 
 
 def node_emulate(broker_host: str, broker_port: int, node_id: int) -> None:
     """Run a node emulator until interrupted."""
     node = NodeEmulator(broker_host, broker_port, node_id)
     node.start()
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.stop()
+    _run(node.stop)
 
 
 def xapp_run(
@@ -830,19 +820,13 @@ def xapp_run(
     """Subscribe, consume for a while, and return receive counters."""
     client = XAppClient(broker_host, broker_port, xapp_id)
     client.connect()
-    try:
+
+    def subscribe() -> None:
         reply = client.subscribe(node, items)
         if not reply.accepted:
             raise RuntimeError(f"subscription rejected: {reply.reason}")
-        if duration_s is None:
-            while True:
-                time.sleep(3600)
-        else:
-            time.sleep(duration_s)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        client.close()
+
+    _run(client.close, duration_s, subscribe)
     return {
         "messages": client.received_messages,
         "samples": client.received_samples,

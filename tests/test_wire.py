@@ -1,6 +1,7 @@
 import logging
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -139,14 +140,18 @@ class TestFrameCap:
 
 
 class FakePeer:
-    """Stands in for a connected peer; records what the broker sends it."""
+    """Stands in for a connected peer; records what the broker sends it.
 
-    def __init__(self):
+    With ``delivers=False`` every send fails, as on a broken socket.
+    """
+
+    def __init__(self, delivers=True):
         self.sent = []
+        self.delivers = delivers
 
     def send(self, msg):
         self.sent.append(msg)
-        return True
+        return self.delivers
 
 
 class TestRouting:
@@ -181,6 +186,33 @@ class TestRouting:
         again = FakePeer()
         broker._handle_setup(again, SetupRequest(1))
         assert again.sent == [SetupResponse(1, True), Subscribe(BROKER_SENDER, 1, (a40, a60, b60))]
+
+    def test_retime_subscribes_the_new_period_before_dropping_the_old(self):
+        broker = Broker()
+        node, slow, fast = FakePeer(), FakePeer(), FakePeer()
+        broker._handle_setup(node, SetupRequest(1))
+        broker._xapps.update({10: slow, 11: fast})
+        broker._handle_subscribe(slow, Subscribe(10, 1, (SubscriptionItem("K0", 100),)))
+        node.sent.clear()
+        broker._handle_subscribe(fast, Subscribe(11, 1, (SubscriptionItem("K0", 50),)))
+        # The node is never left without a K0 stream.
+        assert node.sent == [
+            Subscribe(BROKER_SENDER, 1, (SubscriptionItem("K0", 50),)),
+            Unsubscribe(BROKER_SENDER, 1, (("K0", 100),)),
+        ]
+
+    def test_undelivered_node_push_is_logged(self, caplog):
+        caplog.set_level(logging.WARNING, logger="ricmerge.wire")
+        broker = Broker()
+        node, xapp = FakePeer(delivers=False), FakePeer()
+        broker._handle_setup(node, SetupRequest(7))
+        broker._xapps[10] = xapp
+        broker._handle_subscribe(xapp, Subscribe(10, 7, (SubscriptionItem("K0", 40),)))
+        assert xapp.sent == [SubscribeReply(7, True)]
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "node 7" in record.getMessage()
+        assert "Subscribe" in record.getMessage()
+        assert "K0" in record.getMessage()
 
 
 class TestIdleConnections:
@@ -327,6 +359,35 @@ class TestLiveMode:
             b.close()
             node.stop()
 
+    def test_unsubscribe_retimes_then_clears_the_node(self, broker):
+        host, port = broker.address
+        node = NodeEmulator(host, port, node_id=7)
+        node.start()
+        a = XAppClient(host, port, 80)
+        b = XAppClient(host, port, 81)
+        a.connect()
+        b.connect()
+        try:
+            assert a.subscribe(7, (SubscriptionItem("K0", 100),)).accepted
+            assert b.subscribe(7, (SubscriptionItem("K0", 50),)).accepted
+            assert wait_until(lambda: node.active_streams() == {("K0", 50)})
+
+            b.unsubscribe(7, (("K0", 50),))
+            assert wait_until(lambda: node.active_streams() == {("K0", 100)})
+            received = a.received_messages
+            assert wait_until(lambda: a.received_messages >= received + 2)
+
+            # The unknown KPI is ignored; the connection stays open.
+            a.unsubscribe(7, (("K0", 100), ("K9", 100)))
+            assert wait_until(lambda: node.active_streams() == set())
+            assert broker.plan_streams(7) == set()
+            assert a.subscribe(7, (SubscriptionItem("K1", 100),)).accepted
+            assert wait_until(lambda: node.active_streams() == {("K1", 100)})
+        finally:
+            a.close()
+            b.close()
+            node.stop()
+
     def test_disconnect_tears_down_owned_streams(self, broker):
         host, port = broker.address
         node = NodeEmulator(host, port, node_id=5)
@@ -356,3 +417,51 @@ class TestLiveMode:
         with pytest.raises(ConnectionError, match="unreachable"):
             node.start()
         assert time.monotonic() - started < 5
+
+
+def node_threads(node_id):
+    return sorted(
+        t.name
+        for t in threading.enumerate()
+        if t.name == f"node-{node_id}" or t.name.startswith(f"node-{node_id}-")
+    )
+
+
+class TestEmitter:
+    def test_one_emitter_thread_serves_every_period(self, broker):
+        host, port = broker.address
+        node = NodeEmulator(host, port, node_id=11)
+        node.start()
+        client = XAppClient(host, port, 110)
+        client.connect()
+        try:
+            items = (SubscriptionItem("K0", 20), SubscriptionItem("K1", 30))
+            assert client.subscribe(11, items).accepted
+            assert wait_until(lambda: node.active_streams() == {("K0", 20), ("K1", 30)})
+            assert wait_until(lambda: client.samples_per_kpi.get("K1", 0) >= 3)
+            assert client.samples_per_kpi["K0"] >= 3
+            assert len(node_threads(11)) == 2
+        finally:
+            client.close()
+            node.stop()
+        assert node.emitted_messages == len(node.emit_times)
+        assert node_threads(11) == []
+
+    def test_period_resubscribed_many_times_keeps_emitting(self, broker):
+        host, port = broker.address
+        node = NodeEmulator(host, port, node_id=12)
+        node.start()
+        client = XAppClient(host, port, 120)
+        client.connect()
+        try:
+            items = (SubscriptionItem("K0", 20),)
+            for _ in range(50):
+                assert client.subscribe(12, items).accepted
+                client.unsubscribe(12, (("K0", 20),))
+            assert client.subscribe(12, items).accepted
+            assert wait_until(lambda: node.active_streams() == {("K0", 20)})
+            emitted = node.emitted_messages
+            assert wait_until(lambda: node.emitted_messages >= emitted + 5)
+        finally:
+            client.close()
+            node.stop()
