@@ -9,7 +9,9 @@ baseline, which only recognizes byte-identical request content.
 Canonical serialization layout (bit-exact across implementations):
 integers are 8-byte big-endian unsigned, strings are an 8-byte big-endian
 length followed by UTF-8 bytes, and optional integers are a 1-byte
-presence flag (0x00 absent, 0x01 present) followed by the value.
+presence flag (0x00 absent, 0x01 present) followed by the value. The
+writers and readers below are the only code that handles this layout,
+for the canonical form and the live-mode wire messages alike.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ class DuplicateKpiError(ValueError):
         self.kpi = kpi
 
 
-def _validate_period(period_ms: int) -> None:
+def _validate_item(kpi: KpiId, period_ms: int, sensitivity_ms: int | None) -> None:
+    if not kpi:
+        raise ValueError("KPI name must be non-empty")
     if not 1 <= period_ms <= MAX_PERIOD_MS:
         raise ValueError(f"report period out of range [1, {MAX_PERIOD_MS}] ms: {period_ms}")
-
-
-def _validate_sensitivity(sensitivity_ms: int | None) -> None:
     if sensitivity_ms is not None and sensitivity_ms < 1:
         raise ValueError(f"staleness tolerance must be >= 1 ms: {sensitivity_ms}")
 
@@ -59,10 +60,7 @@ class SubscriptionItem:
     sensitivity_ms: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.kpi:
-            raise ValueError("KPI name must be non-empty")
-        _validate_period(self.period_ms)
-        _validate_sensitivity(self.sensitivity_ms)
+        _validate_item(self.kpi, self.period_ms, self.sensitivity_ms)
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,7 @@ class KpiDemand:
     def __post_init__(self) -> None:
         _validate_id(self.xapp, "xApp id")
         _validate_id(self.node, "node id")
-        if not self.kpi:
-            raise ValueError("KPI name must be non-empty")
-        _validate_period(self.period_ms)
-        _validate_sensitivity(self.sensitivity_ms)
+        _validate_item(self.kpi, self.period_ms, self.sensitivity_ms)
 
 
 def decompose(request: SubscriptionRequest) -> list[KpiDemand]:
@@ -113,8 +108,15 @@ def decompose(request: SubscriptionRequest) -> list[KpiDemand]:
     ]
 
 
-def pack_u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+# Byte layout. Writers return bytes; readers take ``(data, pos)``, return
+# ``(value, next_pos)`` and raise ``struct.error`` past the end of ``data``.
+_U8 = struct.Struct(">B")
+_U64 = struct.Struct(">Q")
+pack_u64 = _U64.pack
+
+
+def read_u64(data: bytes, pos: int) -> tuple[int, int]:
+    return _U64.unpack_from(data, pos)[0], pos + 8
 
 
 def pack_name(name: str) -> bytes:
@@ -122,10 +124,46 @@ def pack_name(name: str) -> bytes:
     return pack_u64(len(raw)) + raw
 
 
+def read_name(data: bytes, pos: int) -> tuple[str, int]:
+    """Raises ``UnicodeDecodeError``, a ``ValueError``, for bytes that are not UTF-8."""
+    length, pos = read_u64(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise struct.error("name runs past the end of the data")
+    return data[pos:end].decode("utf-8"), end
+
+
 def pack_optional_u64(value: int | None) -> bytes:
-    if value is None:
-        return b"\x00"
-    return b"\x01" + pack_u64(value)
+    return b"\x00" if value is None else b"\x01" + pack_u64(value)
+
+
+def read_optional_u64(data: bytes, pos: int) -> tuple[int | None, int]:
+    (present,) = _U8.unpack_from(data, pos)
+    return read_u64(data, pos + 1) if present else (None, pos + 1)
+
+
+def pack_pair(pair: tuple[str, int]) -> bytes:
+    """A (name, u64) row, such as an indication's (KPI, sample time)."""
+    name, value = pair
+    return pack_name(name) + pack_u64(value)
+
+
+def read_pair(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
+    name, pos = read_name(data, pos)
+    value, pos = read_u64(data, pos)
+    return (name, value), pos
+
+
+def pack_item(item: SubscriptionItem) -> bytes:
+    """A subscription item: the (KPI, period) pair, then the optional tolerance."""
+    return pack_name(item.kpi) + pack_u64(item.period_ms) + pack_optional_u64(item.sensitivity_ms)
+
+
+def read_item(data: bytes, pos: int) -> tuple[SubscriptionItem, int]:
+    """Raises ``ValueError`` for an item that ``SubscriptionItem`` rejects."""
+    (kpi, period), pos = read_pair(data, pos)
+    tolerance, pos = read_optional_u64(data, pos)
+    return SubscriptionItem(kpi, period, tolerance), pos
 
 
 def canonical_bytes(request: SubscriptionRequest) -> bytes:
@@ -134,14 +172,10 @@ def canonical_bytes(request: SubscriptionRequest) -> bytes:
     The xApp id is deliberately excluded: two xApps issuing identical
     content must serialize identically, which is what whole-request
     deduplication keys on. Item order is preserved, so reordered but
-    otherwise equal requests serialize differently.
+    otherwise equal requests serialize differently. Unlike the items of a
+    subscribe message, the items carry no count.
     """
-    parts = [pack_u64(request.node)]
-    for item in request.items:
-        parts.append(pack_name(item.kpi))
-        parts.append(pack_u64(item.period_ms))
-        parts.append(pack_optional_u64(item.sensitivity_ms))
-    return b"".join(parts)
+    return pack_u64(request.node) + b"".join(map(pack_item, request.items))
 
 
 def request_fingerprint(request: SubscriptionRequest) -> bytes:

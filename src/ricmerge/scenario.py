@@ -334,44 +334,23 @@ def sweep(
 
 
 CSV_HEADER = "sweep_value,mode,streams,sample_rate,bytes_per_sec,gross_watts,saved_watts,saved_pct"
-
-
-def _format_value(value: float) -> str:
-    return f"{value:g}"
+# The rounded output columns, in column order, and the decimals each keeps.
+_DECIMALS = dict(sample_rate=3, bytes_per_sec=3, gross_watts=4, saved_watts=4, saved_pct=4)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _format_value(row.sweep_value),
-                    row.mode.value,
-                    str(row.streams),
-                    f"{row.sample_rate:.3f}",
-                    f"{row.bytes_per_sec:.3f}",
-                    f"{row.gross_watts:.4f}",
-                    f"{row.saved_watts:.4f}",
-                    f"{row.saved_pct:.4f}",
-                )
-            )
-        )
+        cells = [f"{row.sweep_value:g}", row.mode.value, str(row.streams)]
+        cells += (f"{getattr(row, name):.{places}f}" for name, places in _DECIMALS.items())
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
     doc = [
-        {
-            "sweep_value": row.sweep_value,
-            "mode": row.mode.value,
-            "streams": row.streams,
-            "sample_rate": round(row.sample_rate, 3),
-            "bytes_per_sec": round(row.bytes_per_sec, 3),
-            "gross_watts": round(row.gross_watts, 4),
-            "saved_watts": round(row.saved_watts, 4),
-            "saved_pct": round(row.saved_pct, 4),
-        }
+        {"sweep_value": row.sweep_value, "mode": row.mode.value, "streams": row.streams}
+        | {name: round(getattr(row, name), places) for name, places in _DECIMALS.items()}
         for row in rows
     ]
     return json.dumps(doc, indent=2) + "\n"
@@ -416,66 +395,75 @@ def _read_sections(path: str) -> configparser.ConfigParser:
     return parser
 
 
+def _parse_item(text: str) -> SubscriptionItem:
+    kpi, *numbers = text.strip().split(":")
+    if not 1 <= len(numbers) <= 2:
+        raise ValueError(f"bad item {text.strip()!r}")
+    return SubscriptionItem(kpi, *map(int, numbers))
+
+
+# The class each section builds, and each key: the field it sets and the
+# parser of its value. Keys absent from the file take the field's default.
+_SECTIONS = {
+    "scenario": ScenarioSpec,
+    "power": PowerModel,
+    "sim": SimConfig,
+    "subscribe": SubscriptionRequest,
+}
+_KEYS = {
+    ("scenario", "nodes"): ("nodes", int),
+    ("scenario", "kpis_per_node"): ("kpis_per_node", int),
+    ("scenario", "period_ms"): ("period_ms", int),
+    ("scenario", "redundancy_fraction"): ("redundancy_fraction", float),
+    ("scenario", "period_mix"): ("period_mix", _parse_period_mix),
+    ("scenario", "sensitivity"): ("sensitivity", _parse_sensitivity),
+    ("scenario", "mode"): ("mode", DedupMode),
+    ("scenario", "seed"): ("seed", int),
+    ("power", "cpu_static_watts"): ("p_cpu_static_watts", float),
+    ("power", "ric_static_watts"): ("p_ric_static_watts", float),
+    ("power", "watts_per_sample_rate"): ("watts_per_sample_rate", float),
+    ("sim", "horizon_ms"): ("horizon_ms", int),
+    ("sim", "header_bytes"): ("header_bytes", int),
+    ("sim", "bytes_per_sample"): ("bytes_per_sample", int),
+    ("sim", "batching"): ("batching", Batching),
+    ("subscribe", "xapp"): ("xapp", int),
+    ("subscribe", "node"): ("node", int),
+    ("subscribe", "items"): ("items", lambda text: tuple(map(_parse_item, text.split(",")))),
+}
+
+
+def _load(path: str, sections: tuple[str, ...], what: str) -> list:
+    """Build each section's object from the file; the first section is required."""
+    parser = _read_sections(path)
+    if not parser.has_section(sections[0]):
+        raise ConfigError(f"{path}: missing [{sections[0]}] section")
+    built = []
+    try:
+        for section in sections:
+            kwargs = {}
+            for key, text in parser.items(section) if parser.has_section(section) else ():
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                field, parse = _KEYS[section, key]
+                kwargs[field] = parse(text)
+            built.append(_SECTIONS[section](**kwargs))
+    except (ValueError, TypeError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: invalid {what}: {exc}") from exc
+    return built
+
+
 def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
     """Parse a key=value sections config file.
 
     Sections: [scenario] (required: nodes, kpis_per_node), [power] and
-    [sim] (both optional, defaults apply).
+    [sim] (both optional, defaults apply). Unknown keys are rejected.
     """
-    parser = _read_sections(path)
-    if not parser.has_section("scenario"):
-        raise ConfigError(f"{path}: missing [scenario] section")
-    sc = parser["scenario"]
-    try:
-        spec = ScenarioSpec(
-            nodes=sc.getint("nodes"),
-            kpis_per_node=sc.getint("kpis_per_node"),
-            period_ms=sc.getint("period_ms", 10),
-            redundancy_fraction=sc.getfloat("redundancy_fraction", 0.0),
-            period_mix=_parse_period_mix(sc["period_mix"]) if "period_mix" in sc else None,
-            sensitivity=_parse_sensitivity(sc.get("sensitivity", "none")),
-            mode=DedupMode(sc.get("mode", DedupMode.PER_KPI_MERGE.value)),
-            seed=sc.getint("seed", 0),
-        )
-        pw = parser["power"] if parser.has_section("power") else {}
-        model = PowerModel(
-            p_cpu_static_watts=float(pw.get("cpu_static_watts", power.DEFAULT_CPU_STATIC_WATTS)),
-            p_ric_static_watts=float(pw.get("ric_static_watts", power.DEFAULT_RIC_STATIC_WATTS)),
-            watts_per_sample_rate=float(
-                pw.get("watts_per_sample_rate", power.DEFAULT_WATTS_PER_SAMPLE_RATE)
-            ),
-        )
-        sm = parser["sim"] if parser.has_section("sim") else {}
-        sim_cfg = SimConfig(
-            horizon_ms=int(sm.get("horizon_ms", 1000)),
-            header_bytes=int(sm.get("header_bytes", 0)),
-            bytes_per_sample=int(sm.get("bytes_per_sample", 1000)),
-            batching=Batching(sm.get("batching", Batching.PER_NODE_PERIOD.value)),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{path}: invalid config: {exc}") from exc
+    spec, model, sim_cfg = _load(path, ("scenario", "power", "sim"), "config")
     return spec, model, sim_cfg
 
 
 def load_subscribe(path: str) -> tuple[int, int, tuple[SubscriptionItem, ...]]:
     """Parse an xApp subscribe file: [subscribe] with xapp, node, and
     items as comma-separated kpi:period[:tolerance] entries."""
-    parser = _read_sections(path)
-    if not parser.has_section("subscribe"):
-        raise ConfigError(f"{path}: missing [subscribe] section")
-    section = parser["subscribe"]
-    try:
-        xapp = section.getint("xapp")
-        node = section.getint("node")
-        items = []
-        for part in section["items"].split(","):
-            fields = part.strip().split(":")
-            if len(fields) == 2:
-                items.append(SubscriptionItem(fields[0], int(fields[1])))
-            elif len(fields) == 3:
-                items.append(SubscriptionItem(fields[0], int(fields[1]), int(fields[2])))
-            else:
-                raise ValueError(f"bad item {part.strip()!r}")
-        return xapp, node, tuple(items)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{path}: invalid subscribe file: {exc}") from exc
+    (request,) = _load(path, ("subscribe",), "subscribe file")
+    return request.xapp, request.node, request.items

@@ -34,7 +34,7 @@ class Batching(str, Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    horizon_ms: int
+    horizon_ms: int = 1000
     header_bytes: int = 0
     bytes_per_sample: int = 1000
     batching: Batching = Batching.PER_NODE_PERIOD

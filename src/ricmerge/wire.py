@@ -5,10 +5,10 @@ owns the merge state, node emulators that emit KPI indications on
 wall-clock timers, and xApp clients that subscribe and consume.
 
 Frame layout: a 4-byte big-endian length (excluding itself), a 1-byte
-message kind, then the body. Bodies use the canonical primitives of the
-domain model: 8-byte big-endian integers, length-prefixed UTF-8 strings,
-and a 1-byte presence flag for optional values. Subscription items carry
-an optional staleness tolerance through that flag. The protocol is
+message kind, then the body. ``_LAYOUTS`` defines each kind's body from
+the primitives and row shapes of the domain model: 8-byte big-endian
+integers, length-prefixed UTF-8 strings, and a 1-byte presence flag for
+an item's optional staleness tolerance. The protocol is
 versioned by a byte in the setup request and is deliberately not
 interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
 
@@ -29,18 +29,11 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import power
-from .e2model import (
-    SubscriptionItem,
-    SubscriptionRequest,
-    pack_name,
-    pack_optional_u64,
-    pack_u64,
-)
+from . import e2model, power
+from .e2model import SubscriptionItem, SubscriptionRequest, decompose
 from .merge import ChangeAction, DuplicateDemandError, MergeState, UnknownDemandError
-from .e2model import KpiDemand
 from .power import PowerModel
 
 logger = logging.getLogger("ricmerge.wire")
@@ -120,116 +113,96 @@ WireMessage = (
 )
 
 
-def _encode_body(msg: WireMessage) -> tuple[int, bytes]:
-    if isinstance(msg, SetupRequest):
-        return KIND_SETUP_REQUEST, bytes([msg.version]) + pack_u64(msg.node)
-    if isinstance(msg, SetupResponse):
-        body = pack_u64(msg.node) + bytes([int(msg.accepted)]) + pack_name(msg.reason)
-        return KIND_SETUP_RESPONSE, body
-    if isinstance(msg, Subscribe):
-        parts = [pack_u64(msg.sender), pack_u64(msg.node), pack_u64(len(msg.items))]
-        for item in msg.items:
-            parts.append(pack_name(item.kpi))
-            parts.append(pack_u64(item.period_ms))
-            parts.append(pack_optional_u64(item.sensitivity_ms))
-        return KIND_SUBSCRIBE, b"".join(parts)
-    if isinstance(msg, SubscribeReply):
-        body = pack_u64(msg.node) + bytes([int(msg.accepted)]) + pack_name(msg.reason)
-        return KIND_SUBSCRIBE_REPLY, body
-    if isinstance(msg, Unsubscribe):
-        parts = [pack_u64(msg.sender), pack_u64(msg.node), pack_u64(len(msg.items))]
-        for kpi, period in msg.items:
-            parts.append(pack_name(kpi))
-            parts.append(pack_u64(period))
-        return KIND_UNSUBSCRIBE, b"".join(parts)
-    if isinstance(msg, Indication):
-        parts = [
-            pack_u64(msg.node),
-            pack_u64(msg.emit_time_ms),
-            pack_u64(msg.period_ms),
-            pack_u64(len(msg.samples)),
-        ]
-        for kpi, sample_time in msg.samples:
-            parts.append(pack_name(kpi))
-            parts.append(pack_u64(sample_time))
-        return KIND_INDICATION, b"".join(parts)
-    raise CodecError(f"not a wire message: {type(msg).__name__}")
+def _counted(write, read):
+    """The row codec of a field that is a u64 row count, then the rows."""
+
+    def write_rows(rows) -> bytes:
+        return e2model.pack_u64(len(rows)) + b"".join(map(write, rows))
+
+    def read_rows(data: bytes, pos: int):
+        count, pos = e2model.read_u64(data, pos)
+        rows = []
+        for _ in range(count):
+            row, pos = read(data, pos)
+            rows.append(row)
+        return tuple(rows), pos
+
+    return write_rows, read_rows
+
+
+_NAME = (e2model.pack_name, e2model.read_name)
+_ITEMS = _counted(e2model.pack_item, e2model.read_item)
+_PAIRS = _counted(e2model.pack_pair, e2model.read_pair)
+
+
+class _Layout:
+    """One message kind: kind byte, class, the fixed fields in wire order as
+    ``"struct-code field, ..."`` (big-endian, like e2model's primitives), and
+    an optional trailing field with its ``(writer, reader)``."""
+
+    def __init__(self, kind: int, cls: type, fixed: str, tail=None, codec=(None, None)) -> None:
+        codes, self.fields = zip(*(part.split() for part in fixed.split(",")))
+        self.head = struct.Struct(">" + "".join(codes))
+        self.kind, self.cls, self.tail = kind, cls, tail
+        self.write, self.read = codec
+        self.names = self.fields + ((tail,) if tail else ())
+
+
+# The definition of every message kind on the wire.
+_LAYOUTS = (
+    _Layout(KIND_SETUP_REQUEST, SetupRequest, "B version, Q node"),
+    _Layout(KIND_SETUP_RESPONSE, SetupResponse, "Q node, ? accepted", "reason", _NAME),
+    _Layout(KIND_SUBSCRIBE, Subscribe, "Q sender, Q node", "items", _ITEMS),
+    _Layout(KIND_SUBSCRIBE_REPLY, SubscribeReply, "Q node, ? accepted", "reason", _NAME),
+    _Layout(KIND_UNSUBSCRIBE, Unsubscribe, "Q sender, Q node", "items", _PAIRS),
+    _Layout(KIND_INDICATION, Indication, "Q node, Q emit_time_ms, Q period_ms", "samples", _PAIRS),
+)
+_BY_CLASS = {layout.cls: layout for layout in _LAYOUTS}
+_BY_KIND = {layout.kind: layout for layout in _LAYOUTS}
+_PREFIX = struct.Struct(">IB")  # frame length (excluding itself), kind
 
 
 def encode(msg: WireMessage) -> bytes:
     """Full frame bytes: length prefix, kind tag, body."""
-    kind, body = _encode_body(msg)
+    layout = _BY_CLASS.get(type(msg))
+    if layout is None:
+        raise CodecError(f"not a wire message: {type(msg).__name__}")
+    body = layout.head.pack(*[getattr(msg, name) for name in layout.fields])
+    if layout.tail:
+        body += layout.write(getattr(msg, layout.tail))
     length = 1 + len(body)
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large: {length} bytes")
-    return struct.pack(">I", length) + bytes([kind]) + body
-
-
-class _Reader:
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError("unexpected end of frame")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def name(self) -> str:
-        length = self.u64()
-        return self.take(length).decode("utf-8")
-
-    def optional_u64(self) -> int | None:
-        return self.u64() if self.u8() else None
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise CodecError("trailing bytes in frame")
+    return _PREFIX.pack(length, layout.kind) + body
 
 
 def decode(frame: bytes) -> WireMessage:
-    """Inverse of :func:`encode`; strict about truncation and trailers."""
+    """Inverse of :func:`encode`; strict about truncation and trailers.
+
+    Every malformed frame raises :class:`CodecError`, also a name that is
+    not UTF-8 and an item that ``SubscriptionItem`` rejects.
+    """
     if len(frame) < 5:
         raise CodecError("truncated frame")
-    (length,) = struct.unpack(">I", frame[:4])
+    (length,) = struct.unpack_from(">I", frame)
     if length != len(frame) - 4:
         raise CodecError("frame length mismatch")
-    kind = frame[4]
-    reader = _Reader(frame, 5)
-    if kind == KIND_SETUP_REQUEST:
-        msg: WireMessage = SetupRequest(version=reader.u8(), node=reader.u64())
-    elif kind == KIND_SETUP_RESPONSE:
-        msg = SetupResponse(reader.u64(), bool(reader.u8()), reader.name())
-    elif kind == KIND_SUBSCRIBE:
-        sender, node = reader.u64(), reader.u64()
-        items = tuple(
-            SubscriptionItem(reader.name(), reader.u64(), reader.optional_u64())
-            for _ in range(reader.u64())
-        )
-        msg = Subscribe(sender, node, items)
-    elif kind == KIND_SUBSCRIBE_REPLY:
-        msg = SubscribeReply(reader.u64(), bool(reader.u8()), reader.name())
-    elif kind == KIND_UNSUBSCRIBE:
-        sender, node = reader.u64(), reader.u64()
-        items = tuple((reader.name(), reader.u64()) for _ in range(reader.u64()))
-        msg = Unsubscribe(sender, node, items)
-    elif kind == KIND_INDICATION:
-        node, emit, period = reader.u64(), reader.u64(), reader.u64()
-        samples = tuple((reader.name(), reader.u64()) for _ in range(reader.u64()))
-        msg = Indication(node, emit, period, samples)
-    else:
-        raise CodecError(f"unknown message kind: {kind}")
-    reader.done()
-    return msg
+    layout = _BY_KIND.get(frame[4])
+    if layout is None:
+        raise CodecError(f"unknown message kind: {frame[4]}")
+    try:
+        values = layout.head.unpack_from(frame, 5)
+        pos = 5 + layout.head.size
+        if layout.tail:
+            tail, pos = layout.read(frame, pos)
+            values += (tail,)
+    except struct.error:
+        raise CodecError("unexpected end of frame") from None
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
+    if pos != len(frame):
+        raise CodecError("trailing bytes in frame")
+    return layout.cls(**dict(zip(layout.names, values)))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
@@ -255,14 +228,19 @@ def read_frame(sock: socket.socket) -> bytes | None:
     if prefix is None:
         return None
     (length,) = struct.unpack(">I", prefix)
-    if length < 1:
-        return None
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large: {length} bytes")
     rest = _recv_exact(sock, length)
     if rest is None:
         return None
     return prefix + rest
+
+
+def _start(target, name: str, *args) -> threading.Thread:
+    """Start a daemon thread running ``target(*args)``."""
+    thread = threading.Thread(target=target, name=name, args=args, daemon=True)
+    thread.start()
+    return thread
 
 
 class _Peer:
@@ -338,7 +316,9 @@ class Broker:
         self._model = model or PowerModel()
         self._stats_interval = stats_interval_s
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._threads: list[threading.Thread] = []  # accept and stats
+        # Every open connection, from accept until its thread ends.
+        self._conns: dict[_Peer, threading.Thread] = {}
         self._stopping = threading.Event()
         self._lock = threading.Lock()  # serializes all subscription mutations
         self._engine = MergeState()
@@ -350,7 +330,8 @@ class Broker:
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self._listener is not None, "broker not started"
+        if self._listener is None:
+            raise RuntimeError("broker not started")
         return self._listener.getsockname()
 
     def start(self) -> None:
@@ -359,9 +340,9 @@ class Broker:
         listener.bind(self._listen_addr)
         listener.listen()
         self._listener = listener
-        self._spawn(self._accept_loop, "broker-accept")
+        self._threads.append(_start(self._accept_loop, "broker-accept"))
         if self._stats_interval:
-            self._spawn(self._stats_loop, "broker-stats")
+            self._threads.append(_start(self._stats_loop, "broker-stats"))
         logger.info("broker listening on %s:%d", *self.address)
 
     def stop(self) -> None:
@@ -373,11 +354,14 @@ class Broker:
             except OSError:
                 pass
             self._listener.close()
-        with self._lock:
-            peers = list(self._nodes.values()) + list(self._xapps.values())
-        for peer in peers:
-            peer.close()
         for thread in self._threads:
+            thread.join(timeout=5)
+        # The accept thread has ended, so no connection registers after this.
+        with self._lock:
+            conns = list(self._conns.items())
+        for peer, _ in conns:
+            peer.close()
+        for _, thread in conns:
             thread.join(timeout=5)
 
     def total_sample_rate(self) -> float:
@@ -393,11 +377,6 @@ class Broker:
         plans = [self._routing[key] for key in sorted(self._routing) if key[0] == node]
         return [SubscriptionItem(s.kpi, s.period_ms) for plan in plans for s in plan.streams]
 
-    def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
     def _accept_loop(self) -> None:
         assert self._listener is not None
         while not self._stopping.is_set():
@@ -405,7 +384,9 @@ class Broker:
                 sock, addr = self._listener.accept()
             except OSError:
                 break
-            self._spawn(lambda s=sock, a=addr: self._serve_connection(s, a), "broker-conn")
+            peer = _Peer(sock)
+            with self._lock:  # held until registered: the connection's cleanup takes it
+                self._conns[peer] = _start(self._serve_connection, "broker-conn", peer, addr)
 
     def _stats_loop(self) -> None:
         while not self._stopping.wait(self._stats_interval):
@@ -413,8 +394,7 @@ class Broker:
             watts = power.predict(self._model, rate)
             logger.info("sample_rate=%.1f samples/s predicted_power=%.2f W", rate, watts)
 
-    def _serve_connection(self, sock: socket.socket, addr) -> None:
-        peer = _Peer(sock)
+    def _serve_connection(self, peer: _Peer, addr) -> None:
         node_id: int | None = None
         xapp_id: int | None = None
         try:
@@ -467,7 +447,7 @@ class Broker:
 
     def _handle_subscribe(self, peer: _Peer, msg: Subscribe) -> None:
         try:
-            SubscriptionRequest(msg.sender, msg.node, msg.items)
+            request = SubscriptionRequest(msg.sender, msg.node, msg.items)
         except ValueError as exc:
             peer.send(SubscribeReply(msg.node, False, str(exc)))
             return
@@ -476,12 +456,8 @@ class Broker:
             if msg.node not in self._nodes:
                 failure = "unknown node"
             else:
-                demands = [
-                    KpiDemand(msg.sender, msg.node, i.kpi, i.period_ms, i.sensitivity_ms)
-                    for i in msg.items
-                ]
                 try:
-                    self._commit(self._engine.add_demands(demands))
+                    self._commit(self._engine.add_demands(decompose(request)))
                 except DuplicateDemandError as exc:
                     failure = str(exc)
         if failure is not None:
@@ -548,6 +524,7 @@ class Broker:
 
     def _cleanup(self, peer: _Peer, node_id: int | None, xapp_id: int | None) -> None:
         with self._lock:
+            del self._conns[peer]
             if node_id is not None and self._nodes.get(node_id) is peer:
                 del self._nodes[node_id]
             if xapp_id is not None and self._xapps.get(xapp_id) is peer:
@@ -604,13 +581,10 @@ class NodeEmulator:
             raise ConnectionError(f"setup rejected: {reason}")
         sock.settimeout(None)
         self._t0 = time.monotonic()
-        for target, name in (
-            (self._read_loop, f"node-{self.node_id}"),
-            (self._emit_loop, f"node-{self.node_id}-emit"),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._threads = [
+            _start(self._read_loop, f"node-{self.node_id}"),
+            _start(self._emit_loop, f"node-{self.node_id}-emit"),
+        ]
         logger.info("node %d attached to broker", self.node_id)
 
     def _connect_with_retry(self) -> socket.socket:
@@ -728,10 +702,7 @@ class XAppClient:
         sock = socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
         sock.settimeout(None)
         self._peer = _Peer(sock)
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"xapp-{self.xapp_id}", daemon=True
-        )
-        self._reader.start()
+        self._reader = _start(self._read_loop, f"xapp-{self.xapp_id}")
 
     def close(self) -> None:
         self._stopping.set()
@@ -743,7 +714,8 @@ class XAppClient:
     def subscribe(
         self, node: int, items: tuple[SubscriptionItem, ...], timeout_s: float = 5.0
     ) -> SubscribeReply:
-        assert self._peer is not None, "not connected"
+        if self._peer is None:
+            raise RuntimeError("not connected")
         self._peer.send(Subscribe(self.xapp_id, node, items))
         deadline = time.monotonic() + timeout_s
         with self._reply_ready:
@@ -755,7 +727,8 @@ class XAppClient:
             return self._replies.pop(0)
 
     def unsubscribe(self, node: int, items: tuple[tuple[str, int], ...]) -> None:
-        assert self._peer is not None, "not connected"
+        if self._peer is None:
+            raise RuntimeError("not connected")
         self._peer.send(Unsubscribe(self.xapp_id, node, items))
 
     def _read_loop(self) -> None:

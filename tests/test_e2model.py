@@ -54,6 +54,14 @@ class TestFingerprint:
         b = request(1, 1, [("a", 10, 1)])
         assert request_fingerprint(a) != request_fingerprint(b)
 
+    def test_canonical_bytes_are_pinned(self):
+        req = request(9, 2, [("ab", 10), ("c", 20, 5)])
+        assert canonical_bytes(req) == bytes.fromhex(
+            "0000000000000002"  # node; the xApp id is left out
+            "0000000000000002" "6162" "000000000000000a" "00"  # ab, 10 ms, no tolerance
+            "0000000000000001" "63" "0000000000000014" "01" "0000000000000005"  # c, 20, 5
+        )
+
 
 kpi_names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8

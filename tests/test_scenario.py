@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from ricmerge import scenario
@@ -276,11 +278,49 @@ class TestConfig:
             with pytest.raises(ConfigError, match="missing"):
                 loader(str(path))
 
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("[scenario]\nnodes = 1\nkpis_per_node = 1\n[sim]\nhorizon = 20\n")
+        with pytest.raises(ConfigError, match=r"'horizon' in \[sim\]"):
+            load_config(str(path))
+
+    def test_percent_sign_raises_config_error(self, tmp_path):
+        path = tmp_path / "percent.cfg"
+        path.write_text("[scenario]\nnodes = 1%\nkpis_per_node = 1\n")
+        with pytest.raises(ConfigError, match="invalid config: '%'"):
+            load_config(str(path))
+
+    def test_missing_nodes_is_named(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("[scenario]\nkpis_per_node = 1\n")
+        with pytest.raises(ConfigError, match="'nodes'"):
+            load_config(str(path))
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        spec, model, sim_cfg = load_config(str(path))
+        assert (spec.nodes, spec.kpis_per_node, spec.mode) == (10, 20, DedupMode.PER_KPI_MERGE)
+        assert model.p_cpu_static_watts == 28.0
+        assert sim_cfg.batching is Batching.PER_NODE_PERIOD
+
     def test_bad_mode_raises(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[scenario]\nnodes = 1\nkpis_per_node = 1\nmode = magic\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_subscribe_file_must_be_a_valid_request(self, tmp_path):
+        path = tmp_path / "subscribe.cfg"
+        for body, reason in (
+            ("items = KPI0000:10, KPI0000:20\n", "duplicate KPI"),
+            ("items = KPI0000:10\nperiod_ms = 10\n", r"'period_ms' in \[subscribe\]"),
+        ):
+            path.write_text("[subscribe]\nxapp = 3\nnode = 1\n" + body)
+            with pytest.raises(ConfigError, match=reason):
+                load_subscribe(str(path))
 
     def test_subscribe_file(self, tmp_path):
         path = tmp_path / "subscribe.cfg"

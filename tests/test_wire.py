@@ -35,6 +35,28 @@ class TestCodec:
         assert frame == bytes.fromhex("0000000a" "01" "01" "0000000000000001")
         assert len(frame) == 14
 
+    def test_each_kind_has_pinned_bytes(self):
+        ab, c = "0000000000000002" "6162", "0000000000000001" "63"  # length-prefixed names
+        node, sender = "0000000000000003", "0000000000000007"
+        expected = {
+            SetupRequest(node=3): "0000000a" "01" "01" + node,
+            SetupResponse(3, False, "no"): "00000014" "02" + node + "00"
+            "0000000000000002" "6e6f",
+            Subscribe(7, 3, (SubscriptionItem("ab", 10), SubscriptionItem("c", 20, 5))):
+            "00000046" "03" + sender + node + "0000000000000002"
+            + ab + "000000000000000a" "00"
+            + c + "0000000000000014" "01" "0000000000000005",
+            SubscribeReply(3, True): "00000012" "04" + node + "01" "0000000000000000",
+            Unsubscribe(7, 3, (("ab", 10),)): "0000002b" "05" + sender + node
+            + "0000000000000001" + ab + "000000000000000a",
+            Indication(3, 120, 40, (("ab", 120), ("c", 121))): "00000044" "06" + node
+            + "0000000000000078" "0000000000000028" "0000000000000002"
+            + ab + "0000000000000078" + c + "0000000000000079",
+        }
+        for msg, layout in expected.items():
+            assert encode(msg) == bytes.fromhex(layout), msg
+            assert decode(bytes.fromhex(layout)) == msg
+
     def test_subscribe_round_trip_with_tolerance(self):
         msg = Subscribe(
             sender=7,
@@ -77,6 +99,23 @@ class TestCodec:
         padded = struct.pack(">I", len(frame) - 4 + 1) + frame[4:] + b"\x00"
         with pytest.raises(CodecError):
             decode(padded)
+
+    def test_bad_names_and_items_raise_codec_error(self):
+        frame = encode(Subscribe(1, 2, (SubscriptionItem("a", 10, 5),)))
+        name_at = frame.index(b"a")
+        period_at, tolerance_at = name_at + 1, name_at + 10
+        bad = {
+            "utf-8": frame[:name_at] + b"\xff" + frame[name_at + 1:],
+            "period": frame[:period_at] + bytes(8) + frame[period_at + 8:],
+            "tolerance must be": frame[:tolerance_at] + bytes(8),
+            "non-empty": frame[:name_at - 8] + bytes(8) + frame[name_at + 1:],
+            # a trailing name whose length runs past the end of the frame
+            "unexpected end of frame": encode(SetupResponse(1, False, "ab"))[:-1],
+        }
+        for reason, frame in bad.items():
+            frame = struct.pack(">I", len(frame) - 4) + frame[4:]
+            with pytest.raises(CodecError, match=reason):
+                decode(frame)
 
 
 names = st.text(
@@ -137,6 +176,60 @@ class TestFrameCap:
             sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
             assert sock.recv(1) == b""
         assert wait_until(lambda: "malformed frame: frame too large" in caplog.text)
+
+    def test_broker_logs_a_name_that_is_not_utf8(self, broker, caplog):
+        caplog.set_level(logging.INFO, logger="ricmerge.wire")
+        frame = encode(Subscribe(1, 2, (SubscriptionItem("a", 10),)))
+        frame = frame.replace(b"a", b"\xff")
+        with socket.create_connection(broker.address, timeout=5) as sock:
+            sock.sendall(frame)
+            assert sock.recv(1) == b""
+        assert wait_until(lambda: "closed (malformed frame: 'utf-8' codec" in caplog.text)
+
+    def test_empty_frame_is_malformed(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(struct.pack(">I", 0))
+            peer = wire._Peer(ours)
+            assert list(peer.messages(threading.Event())) == []
+            assert peer.reason.startswith("malformed frame"), peer.reason
+
+
+class TestBrokerLifecycle:
+    def test_stop_closes_a_silent_connection(self):
+        broker = Broker()
+        broker.start()
+        with socket.create_connection(broker.address, timeout=5):
+            assert wait_until(
+                lambda: any(t.name == "broker-conn" for t in threading.enumerate())
+            )
+            started = time.monotonic()
+            broker.stop()
+            assert time.monotonic() - started < 1
+
+    def test_ended_connections_leave_no_threads_behind(self):
+        broker = Broker(stats_interval_s=60)
+        broker.start()
+        try:
+            for _ in range(50):
+                socket.create_connection(broker.address, timeout=5).close()
+            with socket.create_connection(broker.address, timeout=5):
+                # accept and stats, plus the one connection still open
+                assert wait_until(lambda: len(broker._threads) + len(broker._conns) == 3)
+        finally:
+            broker.stop()
+
+    def test_address_before_start_raises(self):
+        with pytest.raises(RuntimeError, match="broker not started"):
+            Broker().address
+
+    def test_subscribe_before_connect_raises(self):
+        with pytest.raises(RuntimeError, match="not connected"):
+            XAppClient("127.0.0.1", 1, 1).subscribe(1, (SubscriptionItem("a", 10),))
+
+    def test_unsubscribe_before_connect_raises(self):
+        with pytest.raises(RuntimeError, match="not connected"):
+            XAppClient("127.0.0.1", 1, 1).unsubscribe(1, (("a", 10),))
 
 
 class FakePeer:
