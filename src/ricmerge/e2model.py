@@ -50,7 +50,7 @@ def _validate_id(value: int, label: str) -> None:
         raise ValueError(f"{label} must be non-negative: {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscriptionItem:
     """One KPI line of a request: what to report, how often, and how
     stale a delivered sample may be (``None`` = no tolerance given)."""
@@ -63,7 +63,7 @@ class SubscriptionItem:
         _validate_item(self.kpi, self.period_ms, self.sensitivity_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscriptionRequest:
     """An xApp's subscription towards one E2 node."""
 
@@ -84,7 +84,7 @@ class SubscriptionRequest:
             seen.add(item.kpi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KpiDemand:
     """A single xApp's demand for one KPI from one node."""
 

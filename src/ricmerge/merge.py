@@ -22,7 +22,8 @@ g*b with coprime a, b >= 2 the merged stream needs a*b samples against
 a+b for the pair, and a*b >= a+b. It becomes profitable only once three
 or more demands accumulate on a stream, which is why plans are rebuilt
 from the full demand set (including a stream consolidation pass) rather
-than patched incrementally.
+than patched incrementally. Within one bulk insert, groups of the same
+(period, tolerance) shape share one fold.
 
 A plan's ``feeds`` view pairs each stream with the xApps it feeds; the
 simulator takes such rows, and the live broker keeps the engine's plans
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
@@ -195,7 +196,7 @@ def decide_pair(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamSpec:
     """One physical KPI report stream emitted by a node."""
 
@@ -212,14 +213,25 @@ class StreamSpec:
 # shape the simulator and the broker's indication fan-out read.
 Feed = tuple[StreamSpec, tuple[XAppId, ...]]
 
+_FANOUT_ERROR = (
+    "fan-out must cover every stream with at least one xApp "
+    "and reference only existing streams"
+)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TransmissionPlan:
     """The streams chosen for one (node, KPI) pair plus the fan-out map
-    from each subscribed xApp to the index of the stream serving it."""
+    from each subscribed xApp to the index of the stream serving it.
+
+    ``feeds`` pairs each stream, in stream order, with the xApps it feeds
+    in ascending id order. It is the only inversion of ``fanout`` and is
+    built by the same walk that validates it.
+    """
 
     streams: tuple[StreamSpec, ...]
     fanout: dict[XAppId, int]
+    feeds: tuple[Feed, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", tuple(self.streams))
@@ -232,25 +244,20 @@ class TransmissionPlan:
                 raise ValueError("plan streams must share one (node, KPI) pair")
         if len({s.period_ms for s in streams}) != len(streams):
             raise ValueError("plan streams must have distinct periods")
-        if not self.fanout or set(self.fanout.values()) != set(range(len(streams))):
-            raise ValueError(
-                "fan-out must cover every stream with at least one xApp "
-                "and reference only existing streams"
-            )
+        indices = range(len(streams))
+        xapps: list[list[XAppId]] = [[] for _ in indices]
+        for xapp, index in self.fanout.items():
+            if index not in indices:
+                raise ValueError(_FANOUT_ERROR)
+            xapps[index].append(xapp)
+        for served in xapps:
+            if not served:
+                raise ValueError(_FANOUT_ERROR)
+            served.sort()
+        object.__setattr__(self, "feeds", tuple(zip(streams, map(tuple, xapps))))
 
     def stream_for(self, xapp: XAppId) -> StreamSpec:
         return self.streams[self.fanout[xapp]]
-
-    @cached_property
-    def feeds(self) -> tuple[Feed, ...]:
-        """Each stream with the xApps it feeds, in stream order.
-
-        The only inversion of ``fanout``; computed once per plan.
-        """
-        xapps: list[list[XAppId]] = [[] for _ in self.streams]
-        for xapp, index in sorted(self.fanout.items()):
-            xapps[index].append(xapp)
-        return tuple(zip(self.streams, map(tuple, xapps)))
 
 
 class ChangeAction(str, Enum):
@@ -295,6 +302,10 @@ def _absorb(stream: _Stream, period_ms: int, members: list[KpiDemand]) -> bool:
     return True
 
 
+# A group's demands in the order the fold reads them.
+_fold_order = attrgetter("period_ms", "xapp")
+
+
 def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     """Deterministic rebuild of the stream set for one (node, KPI).
 
@@ -307,7 +318,7 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     if len(demands) == 1:
         return [_Stream(demands[0].period_ms, [demands[0]])]
     streams: list[_Stream] = []
-    for demand in sorted(demands, key=lambda d: (d.period_ms, d.xapp)):
+    for demand in sorted(demands, key=_fold_order):
         streams.sort(key=_Stream.sort_key)
         if not any(_absorb(stream, demand.period_ms, [demand]) for stream in streams):
             streams.append(_Stream(demand.period_ms, [demand]))
@@ -327,10 +338,43 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     return streams
 
 
-def _plan_from_streams(node: E2NodeId, kpi: KpiId, streams: list[_Stream]) -> TransmissionPlan:
-    specs = tuple(StreamSpec(node, kpi, s.period_ms) for s in streams)
-    fanout = {m.xapp: i for i, s in enumerate(streams) for m in s.members}
-    return TransmissionPlan(specs, fanout)
+_shape_of = attrgetter("period_ms", "sensitivity_ms")
+
+# A group's shape: its (period, tolerance) pairs in fold order. Its fold:
+# the stream periods, then (rank in fold order, stream index) for each
+# demand, in the order the demands joined streams.
+_Shape = tuple[tuple[int, int | None], ...]
+_Fold = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def _plan(
+    node: E2NodeId,
+    kpi: KpiId,
+    group: Iterable[KpiDemand],
+    folds: dict[_Shape, _Fold],
+) -> TransmissionPlan:
+    """Plan one (node, KPI) group, folding its shape only if ``folds`` lacks it.
+
+    :func:`_build_streams` reads nothing but the shape: it breaks ties by
+    xApp id, and in fold order ids sort like ranks. So one fold, kept as
+    ranks, serves every group of that shape once the ranks name its own
+    xApps.
+    """
+    ordered = sorted(group, key=_fold_order)
+    shape = tuple(map(_shape_of, ordered))
+    fold = folds.get(shape)
+    if fold is None:
+        rank = {d.xapp: r for r, d in enumerate(ordered)}
+        streams = _build_streams(ordered)
+        fold = folds[shape] = (
+            tuple(s.period_ms for s in streams),
+            tuple((rank[m.xapp], i) for i, s in enumerate(streams) for m in s.members),
+        )
+    periods, members = fold
+    return TransmissionPlan(
+        tuple(StreamSpec(node, kpi, period) for period in periods),
+        {ordered[r].xapp: i for r, i in members},
+    )
 
 
 def _diff_plans(
@@ -393,23 +437,25 @@ class MergeState:
         Either every demand is admitted (exactly identical re-submissions
         are ignored) or the state is left untouched.
         """
-        pending: dict[tuple[E2NodeId, KpiId, XAppId], KpiDemand] = {}
+        pending: dict[tuple[E2NodeId, KpiId], dict[XAppId, KpiDemand]] = {}
         for demand in demands:
-            key = (demand.node, demand.kpi, demand.xapp)
-            active = self._demands.get(key[:2], {}).get(demand.xapp)
-            conflicting = pending.get(key, active)
-            if conflicting is not None and conflicting != demand:
+            key = (demand.node, demand.kpi)
+            active = self._demands.get(key, {}).get(demand.xapp)
+            group = pending.get(key, {})
+            conflicting = group.get(demand.xapp, active)
+            if conflicting is None:
+                pending.setdefault(key, group)[demand.xapp] = demand
+            elif conflicting != demand:
                 raise DuplicateDemandError(
                     f"xApp {demand.xapp} already subscribes to {demand.kpi!r} "
                     f"on node {demand.node}"
                 )
-            if active != demand:
-                pending[key] = demand
-        for (node, kpi, xapp), demand in pending.items():
-            self._demands.setdefault((node, kpi), {})[xapp] = demand
+        for key, group in pending.items():
+            self._demands.setdefault(key, {}).update(group)
+        folds: dict[_Shape, _Fold] = {}
         changes = []
-        for key in sorted({(node, kpi) for node, kpi, _ in pending}):
-            changes.extend(self._recompute(key))
+        for key in sorted(pending):
+            changes.extend(self._recompute(key, folds))
         return changes
 
     def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> list[StreamChange]:
@@ -422,7 +468,7 @@ class MergeState:
         del group[xapp]
         if not group:
             del self._demands[key]
-        return self._recompute(key)
+        return self._recompute(key, {})
 
     def remove_xapp(self, xapp: XAppId) -> list[StreamChange]:
         """Drop every demand of one xApp (e.g. on disconnect)."""
@@ -437,13 +483,17 @@ class MergeState:
             s for plan in self._plans.values() for s in plan.streams
         )
 
-    def _recompute(self, key: tuple[E2NodeId, KpiId]) -> list[StreamChange]:
+    def _recompute(
+        self, key: tuple[E2NodeId, KpiId], folds: dict[_Shape, _Fold]
+    ) -> list[StreamChange]:
+        """Rebuild one group's plan, reusing the shapes in ``folds``."""
         old = self._plans.get(key)
         group = self._demands.get(key)
         if not group:
             self._plans.pop(key, None)
             return _diff_plans(old, None)
-        node, kpi = key
-        new = _plan_from_streams(node, kpi, _build_streams(list(group.values())))
-        self._plans[key] = new
+        new = self._plans[key] = _plan(*key, group.values(), folds)
+        if old is None:
+            # Every stream is new; plan streams ascend by period.
+            return [StreamChange(ChangeAction.ADDED, s) for s in new.streams]
         return _diff_plans(old, new)

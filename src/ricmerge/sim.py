@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
@@ -95,6 +96,9 @@ def staleness_oracle(sample_period_ms: int, consume_period_ms: int) -> int:
     return worst
 
 
+_stream_order = attrgetter("node", "kpi", "period_ms")
+
+
 def _ticks(period_ms: int, horizon_ms: int) -> int:
     """Ticks 0, T, 2T, ... strictly below the horizon."""
     return (horizon_ms - 1) // period_ms + 1
@@ -130,56 +134,60 @@ def _worst_age(sample_period_ms: int, consume_period_ms: int, horizon_ms: int) -
     return max(t % sample_period_ms for t in range(0, horizon_ms, consume_period_ms))
 
 
-def _assignments(
-    rows: list[Feed], demands: Iterable[KpiDemand]
-) -> list[tuple[KpiDemand, StreamSpec]]:
-    """Pair every demand with the stream serving it; reject gaps."""
-    by_key: dict[tuple[E2NodeId, KpiId, XAppId], StreamSpec] = {}
-    for stream, xapps in rows:
-        for xapp in xapps:
-            key = (stream.node, stream.kpi, xapp)
-            if key in by_key:
-                raise ValueError(f"xApp {xapp} served twice for {key[:2]}")
-            by_key[key] = stream
-    pairs = []
-    for demand in demands:
-        key = (demand.node, demand.kpi, demand.xapp)
-        if key not in by_key:
-            raise ValueError(
-                f"demand not served by any plan: xApp {demand.xapp}, "
-                f"node {demand.node}, KPI {demand.kpi!r}"
-            )
-        pairs.append((demand, by_key[key]))
-    return pairs
-
-
 def run(
     rows: Iterable[Feed],
     demands: Iterable[KpiDemand],
     cfg: SimConfig,
 ) -> SimReport:
-    rows = list(rows)
-    pairs = _assignments(rows, demands)
-
-    streams = [stream for stream, _ in rows]
-    for stream in streams:
-        if stream.period_ms > cfg.horizon_ms:
+    horizon = cfg.horizon_ms
+    streams: list[StreamSpec] = []
+    served: dict[tuple[E2NodeId, KpiId, XAppId], StreamSpec] = {}
+    for stream, xapps in rows:
+        if stream.period_ms > horizon:
             raise ValueError(
-                f"horizon {cfg.horizon_ms} ms shorter than stream period "
+                f"horizon {horizon} ms shorter than stream period "
                 f"{stream.period_ms} ms ({stream.node}:{stream.kpi})"
             )
+        streams.append(stream)
+        for xapp in xapps:
+            key = (stream.node, stream.kpi, xapp)
+            if key in served:
+                raise ValueError(f"xApp {xapp} served twice for {key[:2]}")
+            served[key] = stream
 
-    horizon = cfg.horizon_ms
+    # Consumption: each xApp ticks on its own requested grid and sees the
+    # newest sample from its assigned stream. t = 0 alignment makes the
+    # first tick fresh by construction.
     report = SimReport(0, 0, 0)
+    staleness = report.per_xapp_max_staleness
+    worst_ages: dict[tuple[int, int], int] = {}
+    for demand in demands:
+        stream = served.get((demand.node, demand.kpi, demand.xapp))
+        if stream is None:
+            raise ValueError(
+                f"demand not served by any plan: xApp {demand.xapp}, "
+                f"node {demand.node}, KPI {demand.kpi!r}"
+            )
+        periods = (stream.period_ms, demand.period_ms)
+        age = worst_ages.get(periods)
+        if age is None:
+            age = worst_ages[periods] = _worst_age(*periods, horizon)
+        if age >= staleness.get(demand.xapp, 0):
+            staleness[demand.xapp] = age
+    report.per_xapp_max_staleness = dict(sorted(staleness.items()))
+
+    ticks_per_period: dict[int, int] = {}
+    counts = report.per_stream_sample_counts
     node_periods: dict[E2NodeId, set[int]] = {}
-    for stream in sorted(streams, key=lambda s: (s.node, s.kpi, s.period_ms)):
-        ticks = _ticks(stream.period_ms, horizon)
+    for stream in sorted(streams, key=_stream_order):
+        period = stream.period_ms
+        ticks = ticks_per_period.get(period)
+        if ticks is None:
+            ticks = ticks_per_period[period] = _ticks(period, horizon)
         # Exact-duplicate streams (several plans, one spec) accumulate.
-        report.per_stream_sample_counts[stream] = (
-            report.per_stream_sample_counts.get(stream, 0) + ticks
-        )
-        report.samples_sent += ticks
-        node_periods.setdefault(stream.node, set()).add(stream.period_ms)
+        counts[stream] = counts.get(stream, 0) + ticks
+        node_periods.setdefault(stream.node, set()).add(period)
+    report.samples_sent = sum(counts.values())
     if cfg.batching is Batching.PER_STREAM:
         report.messages_sent = report.samples_sent
         report.bytes_sent = report.samples_sent * (cfg.header_bytes + cfg.bytes_per_sample)
@@ -196,17 +204,4 @@ def run(
             report.messages_sent * cfg.header_bytes
             + report.samples_sent * cfg.bytes_per_sample
         )
-
-    # Consumption: each xApp ticks on its own requested grid and sees the
-    # newest sample from its assigned stream. t = 0 alignment makes the
-    # first tick fresh by construction.
-    worst_ages: dict[tuple[int, int], int] = {}
-    for demand, stream in pairs:
-        key = (stream.period_ms, demand.period_ms)
-        if key not in worst_ages:
-            worst_ages[key] = _worst_age(*key, horizon)
-        report.per_xapp_max_staleness[demand.xapp] = max(
-            report.per_xapp_max_staleness.get(demand.xapp, 0), worst_ages[key]
-        )
-    report.per_xapp_max_staleness = dict(sorted(report.per_xapp_max_staleness.items()))
     return report

@@ -56,6 +56,10 @@ CONNECT_TIMEOUT_S = 5.0
 # Entries kept in the node's and the xApp's emit-time logs (the newest).
 EMIT_LOG_LEN = 1 << 16
 
+# Items named in the warning for an undelivered push; the count says how
+# many there were.
+LOGGED_ITEMS = 3
+
 # Largest frame accepted, length prefix excluded. An indication carrying
 # 1000 KPIs is about 23 kB; the cap bounds what one length prefix from a
 # peer can make the reader allocate.
@@ -340,7 +344,7 @@ class Broker:
         listener.bind(self._listen_addr)
         listener.listen()
         self._listener = listener
-        self._threads.append(_start(self._accept_loop, "broker-accept"))
+        self._threads.append(_start(self._accept_loop, "broker-accept", listener))
         if self._stats_interval:
             self._threads.append(_start(self._stats_loop, "broker-stats"))
         logger.info("broker listening on %s:%d", *self.address)
@@ -377,11 +381,10 @@ class Broker:
         plans = [self._routing[key] for key in sorted(self._routing) if key[0] == node]
         return [SubscriptionItem(s.kpi, s.period_ms) for plan in plans for s in plan.streams]
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
+    def _accept_loop(self, listener: socket.socket) -> None:
         while not self._stopping.is_set():
             try:
-                sock, addr = self._listener.accept()
+                sock, addr = listener.accept()
             except OSError:
                 break
             peer = _Peer(sock)
@@ -519,7 +522,11 @@ class Broker:
                 peer = self._nodes.get(node)
                 if peer is not None and not peer.send(message(BROKER_SENDER, node, tuple(items))):
                     logger.warning(
-                        "node %d: %s of %s not delivered", node, message.__name__, items
+                        "node %d: %s of %d items not delivered, first %s",
+                        node,
+                        message.__name__,
+                        len(items),
+                        items[:LOGGED_ITEMS],
                     )
 
     def _cleanup(self, peer: _Peer, node_id: int | None, xapp_id: int | None) -> None:
@@ -582,8 +589,8 @@ class NodeEmulator:
         sock.settimeout(None)
         self._t0 = time.monotonic()
         self._threads = [
-            _start(self._read_loop, f"node-{self.node_id}"),
-            _start(self._emit_loop, f"node-{self.node_id}-emit"),
+            _start(self._read_loop, f"node-{self.node_id}", self._peer),
+            _start(self._emit_loop, f"node-{self.node_id}-emit", self._peer),
         ]
         logger.info("node %d attached to broker", self.node_id)
 
@@ -618,9 +625,8 @@ class NodeEmulator:
                 for kpi in kpis
             }
 
-    def _read_loop(self) -> None:
-        assert self._peer is not None
-        for msg, _ in self._peer.messages(self._stopping):
+    def _read_loop(self, peer: _Peer) -> None:
+        for msg, _ in peer.messages(self._stopping):
             if isinstance(msg, Subscribe):
                 now = time.monotonic()
                 with self._wake:
@@ -637,16 +643,15 @@ class NodeEmulator:
                             if not kpis:
                                 del self._streams[period]
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
-        logger.log(level, "node %d: reader stopped (%s)", self.node_id, self._peer.reason)
+        logger.log(level, "node %d: reader stopped (%s)", self.node_id, peer.reason)
 
-    def _emit_loop(self) -> None:
+    def _emit_loop(self, peer: _Peer) -> None:
         """Send each due period's indication; sleep until the next is due.
 
         A period left without KPIs is dropped from ``_due`` at its next
         tick, so a re-subscription before then keeps its schedule. Sends
         happen outside the lock, so a blocked socket cannot stall the reader.
         """
-        assert self._peer is not None
         while True:
             with self._wake:
                 if self._stopping.is_set():
@@ -669,7 +674,7 @@ class NodeEmulator:
             for period, kpis in ready:
                 now_ms = int((time.monotonic() - self._t0) * 1000)
                 self.emit_times.append(now_ms)
-                if not self._peer.send(
+                if not peer.send(
                     Indication(self.node_id, now_ms, period, tuple((k, now_ms) for k in kpis))
                 ):
                     self.emit_times.pop()  # never left the node
@@ -702,7 +707,7 @@ class XAppClient:
         sock = socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
         sock.settimeout(None)
         self._peer = _Peer(sock)
-        self._reader = _start(self._read_loop, f"xapp-{self.xapp_id}")
+        self._reader = _start(self._read_loop, f"xapp-{self.xapp_id}", self._peer)
 
     def close(self) -> None:
         self._stopping.set()
@@ -731,9 +736,8 @@ class XAppClient:
             raise RuntimeError("not connected")
         self._peer.send(Unsubscribe(self.xapp_id, node, items))
 
-    def _read_loop(self) -> None:
-        assert self._peer is not None
-        for msg, _ in self._peer.messages(self._stopping):
+    def _read_loop(self, peer: _Peer) -> None:
+        for msg, _ in peer.messages(self._stopping):
             if isinstance(msg, SubscribeReply):
                 with self._reply_ready:
                     self._replies.append(msg)
@@ -745,7 +749,7 @@ class XAppClient:
                 for kpi, _ in msg.samples:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
-        logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, self._peer.reason)
+        logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, peer.reason)
 
 
 def _run(stop, duration_s: float | None = None, first=lambda: None) -> None:

@@ -332,6 +332,12 @@ class TestTransmissionPlan:
         with pytest.raises(ValueError):
             TransmissionPlan(streams, {1: 0, 2: 1})
 
+    @pytest.mark.parametrize("fanout", [{1: -1}, {1: 0, 2: -1}, {1: 0, 2: 2}])
+    def test_rejects_fanout_index_out_of_range(self, fanout):
+        streams = (StreamSpec(0, "a", 10), StreamSpec(0, "a", 15))
+        with pytest.raises(ValueError, match="reference only existing streams"):
+            TransmissionPlan(streams, fanout)
+
     def test_feeds_invert_the_fanout(self):
         streams = (StreamSpec(0, "a", 10), StreamSpec(0, "a", 15), StreamSpec(0, "a", 7))
         plan = TransmissionPlan(streams, {5: 1, 2: 0, 9: 1, 3: 2, 1: 0})
@@ -532,3 +538,84 @@ def test_engine_matches_reference_fold():
                 )
     # The corpus must reach every branch of the rule, removals included.
     assert gcd_streams > 20 and tolerated > 20 and removal_retimes > 20
+
+
+def shape_groups(rng, groups):
+    """Demands for ``groups`` (node, KPI) groups whose (period, tolerance)
+    shapes repeat: a few period lists, each with several tolerance draws.
+    Each group takes one shape and gives it fresh xApp ids in random
+    order, so ids and fold ranks disagree."""
+    shapes = []
+    for _ in range(6):
+        top = rng.choice([12, 100])
+        periods = [rng.randint(1, top) for _ in range(rng.randint(1, 9))]
+        for _ in range(3):
+            tolerances = [rng.choice([None, None, rng.randint(1, 30)]) for _ in periods]
+            shapes.append(list(zip(periods, tolerances)))
+    by_group = {}
+    for index in range(groups):
+        node, kpi = divmod(index, 2)
+        shape = rng.choice(shapes)
+        xapps = rng.sample(range(1000), len(shape))
+        by_group[node, "ab"[kpi]] = [
+            demand(x, period, sens, node=node, kpi="ab"[kpi])
+            for x, (period, sens) in zip(xapps, shape)
+        ]
+    return by_group
+
+
+def fold_shape(demands):
+    ordered = sorted(demands, key=lambda d: (d.period_ms, d.xapp))
+    return tuple((d.period_ms, d.sensitivity_ms) for d in ordered)
+
+
+def test_bulk_insert_matches_one_group_per_state():
+    """Groups that share a shape reuse one fold per bulk insert; plans,
+    feeds and changes equal inserting each group alone, and each fan-out
+    lists xApps in the order they joined the reference fold's streams."""
+    rng = random.Random(29)
+    by_group = shape_groups(rng, 400)
+    halves = ({}, {})
+    for key, demands in by_group.items():
+        cut = rng.randint(0, len(demands) - 1)
+        halves[0][key], halves[1][key] = demands[:cut], demands[cut:]
+
+    bulk, got_changes, folds = MergeState(), [], 0
+    inserted = {key: [] for key in by_group}
+    for half in halves:
+        mixed = [d for demands in half.values() for d in demands]
+        rng.shuffle(mixed)
+        with mock.patch.object(merge, "_build_streams", wraps=merge._build_streams) as fold:
+            got_changes.append(bulk.add_demands(mixed))
+        touched = [key for key, demands in half.items() if demands]
+        for key in touched:
+            inserted[key] += half[key]
+        # One fold per distinct shape among the groups this insert touched.
+        assert fold.call_count == len({fold_shape(inserted[key]) for key in touched})
+        folds += fold.call_count
+    assert folds < len(by_group)
+
+    want_changes = ([], [])
+    gcd_streams = tolerated = divisible = split = 0
+    for key in sorted(by_group):
+        alone = MergeState()
+        for step, half in enumerate(halves):
+            want_changes[step].extend(alone.add_demands(half[key]))
+        want, got = alone.plan_for(*key), bulk.plan_for(*key)
+        assert got == want, key
+        assert got.feeds == want.feeds
+        streams = reference_build_streams(by_group[key])
+        assert list(got.fanout.items()) == [
+            (m.xapp, i) for i, stream in enumerate(streams) for m in stream.members
+        ]
+        requested = {d.xapp: d.period_ms for d in by_group[key]}
+        split += len(want.streams) > 1
+        gcd_streams += sum(s.period_ms not in requested.values() for s in want.streams)
+        for xapp, period in requested.items():
+            stream_period = want.stream_for(xapp).period_ms
+            tolerated += period % stream_period != 0
+            divisible += period != stream_period and period % stream_period == 0
+    assert got_changes == list(want_changes)
+    assert bulk.plans().keys() == by_group.keys()
+    # The corpus must reach every branch of the rule.
+    assert gcd_streams > 20 and tolerated > 20 and divisible > 20 and split > 20

@@ -307,6 +307,19 @@ class TestRouting:
         assert "Subscribe" in record.getMessage()
         assert "K0" in record.getMessage()
 
+    def test_undelivered_push_log_line_is_bounded(self, caplog):
+        caplog.set_level(logging.WARNING, logger="ricmerge.wire")
+        broker = Broker()
+        node, xapp = FakePeer(delivers=False), FakePeer()
+        broker._handle_setup(node, SetupRequest(7))
+        broker._xapps[10] = xapp
+        items = tuple(SubscriptionItem(f"K{i}", 40) for i in range(200))
+        broker._handle_subscribe(xapp, Subscribe(10, 7, items))
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        message = record.getMessage()
+        assert "200 items" in message and "K0" in message
+        assert len(message) < 300
+
 
 class TestIdleConnections:
     def test_subscription_after_idle_reaches_the_node(self, broker, monkeypatch):
