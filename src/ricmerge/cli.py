@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -32,14 +33,11 @@ def _parse_range(text: str, axis: SweepAxis) -> list[float]:
     if len(parts) not in (2, 3):
         raise ConfigError(f"bad range (want start:stop[:step]): {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        if axis is SweepAxis.REDUNDANCY:
-            step = float(parts[2]) if len(parts) == 3 else 0.1
-        else:
-            step = float(parts[2]) if len(parts) == 3 else 1.0
+        start, stop, *step = map(float, parts)
     except ValueError as exc:
         raise ConfigError(f"bad range: {text!r}") from exc
-    if step <= 0 or stop < start:
+    step = step[0] if step else scenario.SWEEP_AXES[axis].step
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"bad range: {text!r}")
     values = []
     value = start
@@ -68,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     report = scenario.compare(spec, model, sim_cfg)
-    _emit(_render(scenario.comparison_rows(report), args.format), args.out)
+    _emit(_render(report.results, args.format), args.out)
     return 0
 
 
@@ -85,17 +83,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     points = []
+    header_allowed = True  # one line before the first point may be a header
     try:
         with open(args.points, encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                first, second = (f.strip() for f in line.split(",", 1))
                 try:
-                    points.append(MeasurementPoint(float(first), float(second)))
-                except ValueError:
-                    continue  # tolerate a header line
+                    rate, watts = map(float, line.split(","))
+                    points.append(MeasurementPoint(rate, watts))
+                except ValueError as exc:
+                    if not header_allowed:
+                        raise ConfigError(f"line {number}: bad point {line!r}: {exc}") from exc
+                header_allowed = False
     except OSError as exc:
         raise ConfigError(f"cannot read {args.points}: {exc.strerror or exc}") from exc
     try:

@@ -315,8 +315,6 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     until no pair can merge, which is what lets three or more demands
     end up on a single gcd-period stream.
     """
-    if len(demands) == 1:
-        return [_Stream(demands[0].period_ms, [demands[0]])]
     streams: list[_Stream] = []
     for demand in sorted(demands, key=_fold_order):
         streams.sort(key=_Stream.sort_key)

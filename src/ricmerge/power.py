@@ -16,8 +16,7 @@ from typing import Iterable, NamedTuple
 
 DEFAULT_CPU_STATIC_WATTS = 28.0
 DEFAULT_RIC_STATIC_WATTS = 34.5
-CALIBRATION_ANCHORS = ((0.0, 34.5), (500_000.0, 268.2))
-DEFAULT_WATTS_PER_SAMPLE_RATE = (268.2 - 34.5) / 500_000.0
+DEFAULT_WATTS_PER_SAMPLE_RATE = (268.2 - DEFAULT_RIC_STATIC_WATTS) / 500_000.0
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ differs from the first xApp's in its other items. Whole-request hashing
 therefore cannot see the overlap, while per-KPI merging removes it.
 
 ``compare`` runs the same demand set through three modes (no dedup,
-whole-request dedup, per-KPI merge) and prices each transmitted rate
-with the power model; ``sweep`` repeats that along one axis and yields
-CSV/JSON rows.
+whole-request dedup, per-KPI merge), prices each transmitted rate with
+the power model and returns one ``SweepRow`` per mode. ``sweep`` repeats
+that along one axis of ``SWEEP_AXES``, which names the scenario field
+each axis sets, its type and its default grid. ``rows_to_csv`` and
+``rows_to_json`` render either's rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from . import power
 from .e2model import (
@@ -178,10 +181,14 @@ def _whole_request_rows(requests: list[SubscriptionRequest]) -> list[Feed]:
 
 
 @dataclass(frozen=True)
-class ModeResult:
+class SweepRow:
+    """One mode's result at one sweep point; ``compare`` keys its rows
+    by the scenario's redundancy fraction."""
+
+    sweep_value: float
     mode: DedupMode
-    total_streams: int
-    total_sample_rate: Fraction
+    streams: int
+    sample_rate: float
     bytes_per_sec: float
     gross_watts: float
     saved_watts: float
@@ -190,10 +197,9 @@ class ModeResult:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    spec: ScenarioSpec
-    results: tuple[ModeResult, ...]
+    results: tuple[SweepRow, ...]
 
-    def for_mode(self, mode: DedupMode) -> ModeResult:
+    def for_mode(self, mode: DedupMode) -> SweepRow:
         for result in self.results:
             if result.mode is mode:
                 return result
@@ -230,9 +236,7 @@ def compare(
     demands = [d for r in requests for d in decompose(r)]
 
     layouts = {m: _mode_layout(m, requests, demands) for m in MODE_ORDER}
-    rate_no_dedup = layouts[DedupMode.NO_DEDUP][1]
-    rate_whole = layouts[DedupMode.WHOLE_REQUEST][1]
-    rate_merge = layouts[DedupMode.PER_KPI_MERGE][1]
+    rate_no_dedup, rate_whole, rate_merge = (layouts[m][1] for m in MODE_ORDER)
     if not rate_merge <= rate_whole <= rate_no_dedup:
         raise RuntimeError(
             "sample rates out of order: per_kpi_merge "
@@ -248,22 +252,10 @@ def compare(
         gross = power.predict(model, float(rate))
         saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
         pct = saved / gross * 100.0 if saved else 0.0
-        results.append(
-            ModeResult(mode, len(rows), rate, bytes_per_sec, gross, saved, pct)
-        )
-    return ComparisonReport(spec, tuple(results))
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    sweep_value: float
-    mode: DedupMode
-    streams: int
-    sample_rate: float
-    bytes_per_sec: float
-    gross_watts: float
-    saved_watts: float
-    saved_pct: float
+        results.append(SweepRow(
+            spec.redundancy_fraction, mode, len(rows), float(rate), bytes_per_sec, gross, saved, pct
+        ))
+    return ComparisonReport(tuple(results))
 
 
 class SweepAxis(str, Enum):
@@ -272,34 +264,21 @@ class SweepAxis(str, Enum):
     KPIS = "kpis"
 
 
-# Default grids for each sweep axis.
-DEFAULT_RANGES = {
-    SweepAxis.REDUNDANCY: [round(0.1 * i, 1) for i in range(10)],
-    SweepAxis.NODES: list(range(1, 61)),
-    SweepAxis.KPIS: list(range(1, 81)),
+class _Axis(NamedTuple):
+    field: str  # the ScenarioSpec field a sweep point sets
+    kind: type  # that field's type: int axes take whole numbers only
+    grid: tuple  # the values swept when none are given
+    step: float  # the default step of ``--range``
+    every_mode: bool  # emit all three mode rows, else the scenario's mode only
+
+
+SWEEP_AXES = {
+    SweepAxis.REDUNDANCY: _Axis(
+        "redundancy_fraction", float, tuple(round(0.1 * i, 1) for i in range(10)), 0.1, True
+    ),
+    SweepAxis.NODES: _Axis("nodes", int, tuple(range(1, 61)), 1.0, False),
+    SweepAxis.KPIS: _Axis("kpis_per_node", int, tuple(range(1, 81)), 1.0, False),
 }
-
-
-def _rows_from_report(report: ComparisonReport, sweep_value: float, modes) -> list[SweepRow]:
-    return [
-        SweepRow(
-            sweep_value,
-            r.mode,
-            r.total_streams,
-            float(r.total_sample_rate),
-            r.bytes_per_sec,
-            r.gross_watts,
-            r.saved_watts,
-            r.saved_pct,
-        )
-        for r in report.results
-        if r.mode in modes
-    ]
-
-
-def comparison_rows(report: ComparisonReport) -> list[SweepRow]:
-    """All three mode rows of one comparison, keyed by its redundancy."""
-    return _rows_from_report(report, report.spec.redundancy_fraction, set(MODE_ORDER))
 
 
 def sweep(
@@ -309,27 +288,27 @@ def sweep(
     axis: SweepAxis,
     values: list[float] | None = None,
 ) -> list[SweepRow]:
-    """One row block per sweep point, ordered by sweep value.
+    """One row block per sweep point, in the order of ``values``.
 
     The redundancy axis emits all three mode rows per point; the node
     and KPI projection axes emit a single row in the scenario's mode.
+    An integer axis rejects a value that is not whole.
     """
-    if values is None:
-        values = DEFAULT_RANGES[axis]
+    field, kind, grid, _, every_mode = SWEEP_AXES[axis]
+    values = grid if values is None else values
     if not values:
         raise ValueError("sweep needs at least one value")
+    for value in values:
+        if kind is int and not float(value).is_integer():
+            raise ValueError(f"{axis.value} axis takes whole numbers only: {value}")
     rows = []
     for value in values:
-        if axis is SweepAxis.REDUNDANCY:
-            point = replace(spec, redundancy_fraction=float(value))
-            modes = set(MODE_ORDER)
-        elif axis is SweepAxis.NODES:
-            point = replace(spec, nodes=int(value))
-            modes = {spec.mode}
-        else:
-            point = replace(spec, kpis_per_node=int(value))
-            modes = {spec.mode}
-        rows.extend(_rows_from_report(compare(point, model, sim_cfg), float(value), modes))
+        report = compare(replace(spec, **{field: kind(value)}), model, sim_cfg)
+        rows.extend(
+            replace(row, sweep_value=float(value))
+            for row in report.results
+            if every_mode or row.mode is spec.mode
+        )
     return rows
 
 
@@ -338,7 +317,7 @@ CSV_HEADER = "sweep_value,mode,streams,sample_rate,bytes_per_sec,gross_watts,sav
 _DECIMALS = dict(sample_rate=3, bytes_per_sec=3, gross_watts=4, saved_watts=4, saved_pct=4)
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
+def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
         cells = [f"{row.sweep_value:g}", row.mode.value, str(row.streams)]
@@ -347,7 +326,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list[SweepRow]) -> str:
+def rows_to_json(rows: Iterable[SweepRow]) -> str:
     doc = [
         {"sweep_value": row.sweep_value, "mode": row.mode.value, "streams": row.streams}
         | {name: round(getattr(row, name), places) for name, places in _DECIMALS.items()}

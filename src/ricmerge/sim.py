@@ -10,7 +10,10 @@ accounting follows the configured batching rule.
 All emission and consumption instants are known up front, so every
 total is computed in closed form once per distinct period (or node
 period set) rather than tick by tick; counts are exact for any horizon
-and reports are byte-identical across runs.
+and reports are byte-identical across runs. ``run`` walks the rows once
+(checks, sample counts, each node's periods) and the demands once
+(service check, staleness); its maps keep input order and ``to_json``
+sorts them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
@@ -96,9 +98,6 @@ def staleness_oracle(sample_period_ms: int, consume_period_ms: int) -> int:
     return worst
 
 
-_stream_order = attrgetter("node", "kpi", "period_ms")
-
-
 def _ticks(period_ms: int, horizon_ms: int) -> int:
     """Ticks 0, T, 2T, ... strictly below the horizon."""
     return (horizon_ms - 1) // period_ms + 1
@@ -111,8 +110,6 @@ def _union_ticks(periods: tuple[int, ...], horizon_ms: int) -> int:
     min(horizon, lcm) is marked and whole repeats are folded. The lcm of
     a few coprime periods dwarfs any horizon and is never enumerated.
     """
-    if len(periods) == 1:
-        return _ticks(periods[0], horizon_ms)
     window = min(horizon_ms, math.lcm(*periods))
     grid = bytearray(window)
     for period in periods:
@@ -140,15 +137,25 @@ def run(
     cfg: SimConfig,
 ) -> SimReport:
     horizon = cfg.horizon_ms
-    streams: list[StreamSpec] = []
+    counts: dict[StreamSpec, int] = {}
+    samples = 0
+    ticks_per_period: dict[int, int] = {}
+    node_periods: dict[E2NodeId, set[int]] = {}
     served: dict[tuple[E2NodeId, KpiId, XAppId], StreamSpec] = {}
     for stream, xapps in rows:
-        if stream.period_ms > horizon:
+        period = stream.period_ms
+        if period > horizon:
             raise ValueError(
                 f"horizon {horizon} ms shorter than stream period "
                 f"{stream.period_ms} ms ({stream.node}:{stream.kpi})"
             )
-        streams.append(stream)
+        ticks = ticks_per_period.get(period)
+        if ticks is None:
+            ticks = ticks_per_period[period] = _ticks(period, horizon)
+        # Exact-duplicate streams (several plans, one spec) accumulate.
+        counts[stream] = counts.get(stream, 0) + ticks
+        samples += ticks
+        node_periods.setdefault(stream.node, set()).add(period)
         for xapp in xapps:
             key = (stream.node, stream.kpi, xapp)
             if key in served:
@@ -158,8 +165,7 @@ def run(
     # Consumption: each xApp ticks on its own requested grid and sees the
     # newest sample from its assigned stream. t = 0 alignment makes the
     # first tick fresh by construction.
-    report = SimReport(0, 0, 0)
-    staleness = report.per_xapp_max_staleness
+    staleness: dict[XAppId, int] = {}
     worst_ages: dict[tuple[int, int], int] = {}
     for demand in demands:
         stream = served.get((demand.node, demand.kpi, demand.xapp))
@@ -174,20 +180,8 @@ def run(
             age = worst_ages[periods] = _worst_age(*periods, horizon)
         if age >= staleness.get(demand.xapp, 0):
             staleness[demand.xapp] = age
-    report.per_xapp_max_staleness = dict(sorted(staleness.items()))
 
-    ticks_per_period: dict[int, int] = {}
-    counts = report.per_stream_sample_counts
-    node_periods: dict[E2NodeId, set[int]] = {}
-    for stream in sorted(streams, key=_stream_order):
-        period = stream.period_ms
-        ticks = ticks_per_period.get(period)
-        if ticks is None:
-            ticks = ticks_per_period[period] = _ticks(period, horizon)
-        # Exact-duplicate streams (several plans, one spec) accumulate.
-        counts[stream] = counts.get(stream, 0) + ticks
-        node_periods.setdefault(stream.node, set()).add(period)
-    report.samples_sent = sum(counts.values())
+    report = SimReport(0, samples, 0, staleness, counts)
     if cfg.batching is Batching.PER_STREAM:
         report.messages_sent = report.samples_sent
         report.bytes_sent = report.samples_sent * (cfg.header_bytes + cfg.bytes_per_sample)

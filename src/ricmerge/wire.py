@@ -408,6 +408,9 @@ class Broker:
                         peer.reason = "setup rejected"
                         break
                 elif isinstance(msg, Indication) and node_id is not None:
+                    if msg.node != node_id:
+                        peer.reason = f"indication for node {msg.node} from node {node_id}"
+                        break
                     self._handle_indication(msg, frame_size)
                 elif isinstance(msg, Subscribe) and node_id is None:
                     if xapp_id is None:

@@ -1,8 +1,10 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from ricmerge import cli
 from ricmerge.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,6 +106,13 @@ class TestSweep:
         values = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert values == ["10", "11", "12"]
 
+    def test_redundancy_sweep_matches_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", REPO / "configs" / "small.cfg", "--axis", "redundancy"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "sweep_redundancy_small.csv").read_text()
+
     def test_redundancy_sweep_emits_all_modes(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -120,6 +129,34 @@ class TestSweep:
             "--axis", "nodes", "--range", "banana",
         )
         assert code == 2 and "range" in err
+
+
+    def test_range_that_is_not_whole_on_an_integer_axis_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", REPO / "configs" / "node_sweep.cfg",
+            "--axis", "nodes", "--range", "1:2:0.5",
+        )
+        assert code == 2 and out == ""
+        assert "whole numbers only: 1.5" in err
+
+    def test_range_that_is_not_finite_exits_2(self, capsys, monkeypatch):
+        # An endless range would call round() once per value forever; the
+        # cap turns that into a failure instead of a hang.
+        calls = itertools.count()
+
+        def bounded_round(value, places):
+            assert next(calls) < 1000, "range loop did not stop"
+            return round(value, places)
+
+        monkeypatch.setattr(cli, "round", bounded_round, raising=False)
+        for text in ("1:inf", "-inf:1", "1:2:inf", "nan:2", "1:nan", "1:2:nan"):
+            code, _, err = run_cli(
+                capsys,
+                "sweep", REPO / "configs" / "small.cfg",
+                "--axis", "nodes", f"--range={text}",
+            )
+            assert code == 2 and "bad range" in err, text
 
 
 class TestCalibrate:
@@ -144,3 +181,17 @@ class TestCalibrate:
         points.write_text("10,30\n10,31\n")
         code, _, err = run_cli(capsys, "calibrate", points)
         assert code == 2 and "distinct" in err
+
+    def test_unparsable_line_after_a_point_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("rate,watts\n0,34.5\n1O0000,81.2\n500000,268.2\n")
+        code, out, err = run_cli(capsys, "calibrate", points)
+        assert code == 2 and out == ""
+        assert "line 3" in err and "1O0000" in err
+
+    def test_line_without_a_comma_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("0,34.5\n500000 268.2\n")
+        code, out, err = run_cli(capsys, "calibrate", points)
+        assert code == 2 and out == ""
+        assert "line 2" in err and "500000 268.2" in err

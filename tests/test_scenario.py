@@ -14,7 +14,6 @@ from ricmerge.scenario import (
     SweepAxis,
     build,
     compare,
-    comparison_rows,
     load_config,
     load_subscribe,
     rows_to_csv,
@@ -104,13 +103,13 @@ class TestCompare:
         assert merge.gross_watts == pytest.approx(43.8, abs=0.2)
         assert merge.saved_watts == pytest.approx(8.4, abs=0.2)
         assert merge.saved_pct == pytest.approx(19.2, abs=1)
-        assert merge.total_streams == 200
+        assert merge.streams == 200
 
     def test_whole_request_hashing_misses_partial_overlap(self):
         report = compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM)
         whole = report.for_mode(DedupMode.WHOLE_REQUEST)
         assert whole.saved_watts == 0
-        assert whole.total_streams == report.for_mode(DedupMode.NO_DEDUP).total_streams
+        assert whole.streams == report.for_mode(DedupMode.NO_DEDUP).streams
 
     def test_whole_request_catches_fully_identical_requests(self):
         # One KPI per node: the duplicating request cannot differ.
@@ -121,7 +120,7 @@ class TestCompare:
 
     def test_rates_ordered_across_modes(self):
         report = compare(ScenarioSpec(7, 9, 10, 0.3, seed=5), MODEL, SIM)
-        rates = {r.mode: r.total_sample_rate for r in report.results}
+        rates = {r.mode: r.sample_rate for r in report.results}
         assert (
             rates[DedupMode.PER_KPI_MERGE]
             <= rates[DedupMode.WHOLE_REQUEST]
@@ -154,8 +153,8 @@ class TestCompare:
 
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)
-        a = rows_to_csv(comparison_rows(compare(spec, MODEL, SIM)))
-        b = rows_to_csv(comparison_rows(compare(spec, MODEL, SIM)))
+        a = rows_to_csv(compare(spec, MODEL, SIM).results)
+        b = rows_to_csv(compare(spec, MODEL, SIM).results)
         assert a == b
 
 
@@ -183,6 +182,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(ScenarioSpec(1, 1), MODEL, SIM, SweepAxis.NODES, [])
 
+    def test_integer_axes_reject_values_that_are_not_whole(self):
+        for axis in (SweepAxis.NODES, SweepAxis.KPIS):
+            with pytest.raises(ValueError, match="whole numbers only: 1.5"):
+                sweep(ScenarioSpec(1, 1), MODEL, SIM, axis, [1.0, 1.5, 2.0])
+
     def test_redundancy_sweep_savings_grow_to_the_ideal_endpoint(self):
         spec = ScenarioSpec(10, 20, 10, 0.0, seed=1)
         values = [round(0.1 * i, 1) for i in range(10)]
@@ -198,7 +202,7 @@ class TestSweep:
 class TestRendering:
     def test_csv_header_and_shape(self):
         report = compare(ScenarioSpec(2, 2, 10, 0.5, seed=1), MODEL, SIM)
-        text = rows_to_csv(comparison_rows(report))
+        text = rows_to_csv(report.results)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "sweep_value,mode,streams,sample_rate,bytes_per_sec,"
@@ -211,7 +215,7 @@ class TestRendering:
         import json
 
         report = compare(ScenarioSpec(2, 2, 10, 0.0, seed=1), MODEL, SIM)
-        doc = json.loads(rows_to_json(comparison_rows(report)))
+        doc = json.loads(rows_to_json(report.results))
         assert len(doc) == 3
         assert set(doc[0]) == {
             "sweep_value", "mode", "streams", "sample_rate",

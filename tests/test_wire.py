@@ -321,6 +321,28 @@ class TestRouting:
         assert len(message) < 300
 
 
+    def test_indication_for_another_node_drops_the_peer(self, broker, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="ricmerge.wire")
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        xapp = FakePeer()
+        broker._handle_setup(FakePeer(), SetupRequest(2))
+        broker._xapps[10] = xapp
+        broker._handle_subscribe(xapp, Subscribe(10, 2, (SubscriptionItem("K0", 40),)))
+        # Node 2 is connected, node 7 is not; each claim comes from node 1.
+        for claimed in (2, 7):
+            with socket.create_connection(broker.address, timeout=5) as sock:
+                sock.sendall(encode(SetupRequest(1)))
+                assert decode(read_frame(sock)) == SetupResponse(1, True)
+                sock.sendall(encode(Indication(claimed, 0, 40, (("K0", 0),))))
+                assert read_frame(sock) is None
+            reason = f"(indication for node {claimed} from node 1)"
+            assert wait_until(lambda: reason in caplog.text), caplog.text
+        assert xapp.sent == [SubscribeReply(2, True)]
+        assert broker.node_traffic[2].messages == 0
+        assert errors == []
+
+
 class TestIdleConnections:
     def test_subscription_after_idle_reaches_the_node(self, broker, monkeypatch):
         monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.2)
