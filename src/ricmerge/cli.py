@@ -2,9 +2,10 @@
 
 Subcommands: ``run`` (one scenario comparison), ``sweep`` (one axis),
 ``calibrate`` (fit a power model to measured points), and the live-mode
-roles ``broker``, ``node``, ``xapp``. Results go to stdout or ``--out``
-as CSV or JSON; identical invocations with the same seed produce
-byte-identical output.
+roles ``broker``, ``node``, ``xapp``, run until Ctrl-C or ``--duration``.
+Results go to stdout or ``--out`` as CSV or JSON, byte-identical for
+identical invocations. Exit code 2 means a bad config or input, 1 a live
+role that could not connect, set up or subscribe.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ import json
 import logging
 import math
 import sys
+import time
 from dataclasses import replace
 
 from . import scenario, wire
 from .power import MeasurementPoint, calibrate
 from .scenario import ConfigError, SweepAxis
+
+# Most values one --range may expand to: 125 times the largest default grid.
+MAX_RANGE_POINTS = 10_000
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -42,9 +47,19 @@ def _parse_range(text: str, axis: SweepAxis) -> list[float]:
     values = []
     value = start
     while value <= stop + 1e-9:
+        if len(values) == MAX_RANGE_POINTS:
+            raise ConfigError(f"range has more than {MAX_RANGE_POINTS} points: {text!r}")
         values.append(round(value, 9))
         value += step
     return values
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,7 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     points = []
-    header_allowed = True  # one line before the first point may be a header
+    header_allowed = True  # the first line may be a header that holds no number
     try:
         with open(args.points, encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
@@ -94,7 +109,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                     rate, watts = map(float, line.split(","))
                     points.append(MeasurementPoint(rate, watts))
                 except ValueError as exc:
-                    if not header_allowed:
+                    if not header_allowed or any(map(_is_number, line.split(","))):
                         raise ConfigError(f"line {number}: bad point {line!r}: {exc}") from exc
                 header_allowed = False
     except OSError as exc:
@@ -103,49 +118,58 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         model = calibrate(points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    fields = {
+        "ric_static_watts": model.p_ric_static_watts,
+        "watts_per_sample_rate": model.watts_per_sample_rate,
+    }
     if args.format == "json":
-        text = json.dumps(
-            {
-                "ric_static_watts": model.p_ric_static_watts,
-                "watts_per_sample_rate": model.watts_per_sample_rate,
-            },
-            indent=2,
-        ) + "\n"
+        text = json.dumps(fields, indent=2) + "\n"
     else:
-        text = (
-            "ric_static_watts,watts_per_sample_rate\n"
-            f"{model.p_ric_static_watts:.6g},{model.watts_per_sample_rate:.6g}\n"
-        )
+        text = ",".join(fields) + "\n" + ",".join(f"{v:.6g}" for v in fields.values()) + "\n"
     _emit(text, args.out)
     return 0
 
 
+def _run(start, stop, duration_s: float | None = None) -> None:
+    """Call ``start``, wait ``duration_s`` seconds (until Ctrl-C when None),
+    then call ``stop``, also when ``start`` failed. Ctrl-C is not an error."""
+    try:
+        start()
+        while duration_s is None:
+            time.sleep(3600)
+        time.sleep(duration_s)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        stop()
+
+
 def _cmd_broker(args: argparse.Namespace) -> int:
     model = scenario.load_config(args.config)[1] if args.config else None
-    host, port = _parse_address(args.listen)
-    wire.broker_serve(host, port, model)
+    broker = wire.Broker(*_parse_address(args.listen), model, stats_interval_s=1.0)
+    _run(broker.start, broker.stop)
     return 0
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
-    host, port = _parse_address(args.broker)
-    try:
-        wire.node_emulate(host, port, args.node_id)
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    node = wire.NodeEmulator(*_parse_address(args.broker), args.node_id)
+    _run(node.start, node.stop)
     return 0
 
 
 def _cmd_xapp(args: argparse.Namespace) -> int:
     host, port = _parse_address(args.broker)
     xapp, node, items = scenario.load_subscribe(args.subscribe)
-    try:
-        counters = wire.xapp_run(host, port, xapp, node, items, args.duration)
-    except (ConnectionError, RuntimeError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(counters))
+    client = wire.XAppClient(host, port, xapp)
+
+    def start() -> None:
+        client.connect()
+        reply = client.subscribe(node, items)
+        if not reply.accepted:
+            raise RuntimeError(f"subscription rejected: {reply.reason}")
+
+    _run(start, client.close, args.duration)
+    print(json.dumps({"messages": client.received_messages, "samples": client.received_samples}))
     return 0
 
 
@@ -206,9 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, ConnectionError, TimeoutError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1  # config or input: 2; live role: 1
 
 
 if __name__ == "__main__":

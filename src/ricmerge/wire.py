@@ -18,7 +18,8 @@ atomically whenever plans change, and follows each plan's ``feeds``.
 
 Threads: the broker runs an accept thread, one thread per connection and
 a stats thread; a node runs a reader and an emitter; an xApp runs a
-reader. Every reader iterates :meth:`_Peer.messages`.
+reader. Both clients connect through ``_connect``, and every read, the
+node's setup reply included, goes through :meth:`_Peer.messages`.
 """
 
 from __future__ import annotations
@@ -238,6 +239,19 @@ def read_frame(sock: socket.socket) -> bytes | None:
     if rest is None:
         return None
     return prefix + rest
+
+
+def _connect(addr: tuple[str, int], attempts: int, backoff_s: float) -> socket.socket:
+    """A socket connected to ``addr`` that keeps ``CONNECT_TIMEOUT_S``; tries
+    ``attempts`` times, doubling the wait from ``backoff_s``."""
+    for attempt in range(1, attempts + 1):
+        try:
+            return socket.create_connection(addr, timeout=CONNECT_TIMEOUT_S)
+        except OSError as exc:
+            if attempt == attempts:
+                raise ConnectionError(f"broker unreachable (attempts: {attempts}): {exc}") from exc
+            time.sleep(backoff_s)
+            backoff_s *= 2
 
 
 def _start(target, name: str, *args) -> threading.Thread:
@@ -560,6 +574,8 @@ class NodeEmulator:
         connect_attempts: int = 5,
         backoff_s: float = 0.2,
     ) -> None:
+        if connect_attempts < 1:
+            raise ValueError(f"connect_attempts must be at least 1, got {connect_attempts}")
         self.node_id = node_id
         self._addr = (broker_host, broker_port)
         self._connect_attempts = connect_attempts
@@ -579,37 +595,24 @@ class NodeEmulator:
         self.emit_times: deque[int] = deque(maxlen=EMIT_LOG_LEN)
 
     def start(self) -> None:
-        sock = self._connect_with_retry()
-        self._peer = _Peer(sock)
-        self._peer.send(SetupRequest(self.node_id))
-        frame = read_frame(sock)
-        if frame is None:
-            raise ConnectionError("broker closed during setup")
-        reply = decode(frame)
+        """Connect and set up; on any failure, close and raise ``ConnectionError``."""
+        peer = _Peer(_connect(self._addr, self._connect_attempts, self._backoff_s))
+        peer.send(SetupRequest(self.node_id))
+        reply = next(peer.messages(self._stopping), (None, 0))[0]
         if not isinstance(reply, SetupResponse) or not reply.accepted:
-            reason = reply.reason if isinstance(reply, SetupResponse) else "bad reply"
-            raise ConnectionError(f"setup rejected: {reason}")
-        sock.settimeout(None)
+            peer.close()
+            if isinstance(reply, SetupResponse):
+                raise ConnectionError(f"setup rejected: {reply.reason}")
+            cause = peer.reason if reply is None else f"unexpected {type(reply).__name__}"
+            raise ConnectionError(f"setup failed: {cause}")
+        peer.sock.settimeout(None)
+        self._peer = peer
         self._t0 = time.monotonic()
         self._threads = [
-            _start(self._read_loop, f"node-{self.node_id}", self._peer),
-            _start(self._emit_loop, f"node-{self.node_id}-emit", self._peer),
+            _start(self._read_loop, f"node-{self.node_id}", peer),
+            _start(self._emit_loop, f"node-{self.node_id}-emit", peer),
         ]
         logger.info("node %d attached to broker", self.node_id)
-
-    def _connect_with_retry(self) -> socket.socket:
-        delay = self._backoff_s
-        for attempt in range(self._connect_attempts):
-            try:
-                return socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
-            except OSError as exc:
-                if attempt == self._connect_attempts - 1:
-                    raise ConnectionError(
-                        f"broker unreachable after {self._connect_attempts} attempts: {exc}"
-                    ) from exc
-                time.sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")
 
     def stop(self) -> None:
         self._stopping.set()
@@ -707,9 +710,8 @@ class XAppClient:
         self.emit_times: deque[int] = deque(maxlen=EMIT_LOG_LEN)  # as received
 
     def connect(self) -> None:
-        sock = socket.create_connection(self._addr, timeout=CONNECT_TIMEOUT_S)
-        sock.settimeout(None)
-        self._peer = _Peer(sock)
+        self._peer = _Peer(_connect(self._addr, attempts=1, backoff_s=0.0))
+        self._peer.sock.settimeout(None)
         self._reader = _start(self._read_loop, f"xapp-{self.xapp_id}", self._peer)
 
     def close(self) -> None:
@@ -753,61 +755,3 @@ class XAppClient:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
         logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, peer.reason)
-
-
-def _run(stop, duration_s: float | None = None, first=lambda: None) -> None:
-    """Call ``first``, then sleep for ``duration_s``, or until Ctrl-C when
-    it is None; then call ``stop``. Ctrl-C during either step is not an error.
-    """
-    try:
-        first()
-        while duration_s is None:
-            time.sleep(3600)
-        time.sleep(duration_s)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stop()
-
-
-def broker_serve(
-    host: str,
-    port: int,
-    model: PowerModel | None = None,
-    stats_interval_s: float = 1.0,
-) -> None:
-    """Run a broker until interrupted."""
-    broker = Broker(host, port, model, stats_interval_s)
-    broker.start()
-    _run(broker.stop)
-
-
-def node_emulate(broker_host: str, broker_port: int, node_id: int) -> None:
-    """Run a node emulator until interrupted."""
-    node = NodeEmulator(broker_host, broker_port, node_id)
-    node.start()
-    _run(node.stop)
-
-
-def xapp_run(
-    broker_host: str,
-    broker_port: int,
-    xapp_id: int,
-    node: int,
-    items: tuple[SubscriptionItem, ...],
-    duration_s: float | None = None,
-) -> dict[str, int]:
-    """Subscribe, consume for a while, and return receive counters."""
-    client = XAppClient(broker_host, broker_port, xapp_id)
-    client.connect()
-
-    def subscribe() -> None:
-        reply = client.subscribe(node, items)
-        if not reply.accepted:
-            raise RuntimeError(f"subscription rejected: {reply.reason}")
-
-    _run(client.close, duration_s, subscribe)
-    return {
-        "messages": client.received_messages,
-        "samples": client.received_samples,
-    }

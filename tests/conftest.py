@@ -1,11 +1,15 @@
 """Test-wide settings: hypothesis draws the same examples on every run, and
-no live-mode thread outlives the test that started it."""
+no live-mode thread outlives the test that started it. Also a stand-in
+broker that answers one node's setup request as a test tells it to."""
 
+import socket
 import threading
 import time
 
 import pytest
 from hypothesis import settings
+
+from ricmerge.wire import read_frame
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -33,3 +37,49 @@ def live_threads_end():
         time.sleep(0.02)
     if leaked:
         pytest.fail(f"live-mode threads still running: {', '.join(leaked)}")
+
+
+class SetupReplier:
+    """A stand-in broker for one node connection. It reads the setup
+    request, then sends ``reply`` and waits for the node to close its side;
+    ``reply`` None sends nothing, and ``b""`` ends the stand-in's side.
+    ``node_closed`` tells whether the node closed within 5 s."""
+
+    def __init__(self, reply: bytes | None) -> None:
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()
+        self.node_closed: bool | None = None
+        self._thread = threading.Thread(target=self._serve, args=(reply,), name="setup-replier")
+        self._thread.start()
+
+    def _serve(self, reply: bytes | None) -> None:
+        conn, _ = self.listener.accept()
+        with conn:
+            conn.settimeout(5)
+            read_frame(conn)
+            if reply == b"":
+                conn.shutdown(socket.SHUT_WR)
+            elif reply is not None:
+                conn.sendall(reply)
+            try:
+                self.node_closed = conn.recv(1) == b""
+            except OSError:
+                self.node_closed = False
+
+    def close(self) -> None:
+        self._thread.join(timeout=10)
+        self.listener.close()
+
+
+@pytest.fixture
+def setup_replier():
+    """Make :class:`SetupReplier` instances; each is closed after the test."""
+    made = []
+
+    def make(reply: bytes | None) -> SetupReplier:
+        made.append(SetupReplier(reply))
+        return made[-1]
+
+    yield make
+    for replier in made:
+        replier.close()

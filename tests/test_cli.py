@@ -1,11 +1,20 @@
 import itertools
 import json
+import os
+import re
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from ricmerge import cli
+from ricmerge import cli, wire
 from ricmerge.cli import main
+from ricmerge.scenario import ConfigError, SweepAxis
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -158,6 +167,30 @@ class TestSweep:
             )
             assert code == 2 and "bad range" in err, text
 
+    def test_range_with_too_many_points_exits_2(self, capsys, monkeypatch):
+        # A step too small to move the value, or one that makes a billion
+        # values, must fail; the round() cap stops a loop that does not.
+        calls = itertools.count()
+
+        def bounded_round(value, places):
+            assert next(calls) < 30_000, "range loop did not stop"
+            return round(value, places)
+
+        monkeypatch.setattr(cli, "round", bounded_round, raising=False)
+        for text in ("1:2:1e-20", "1:2:1e-9"):
+            code, out, err = run_cli(
+                capsys,
+                "sweep", REPO / "configs" / "small.cfg",
+                "--axis", "redundancy", f"--range={text}",
+            )
+            assert code == 2 and out == "", text
+            assert "more than 10000 points" in err, text
+
+    def test_range_point_bound_is_inclusive(self):
+        assert len(cli._parse_range("1:10000", SweepAxis.NODES)) == cli.MAX_RANGE_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            cli._parse_range("1:10001", SweepAxis.NODES)
+
 
 class TestCalibrate:
     def test_fit_from_points_file(self, capsys, tmp_path):
@@ -189,9 +222,128 @@ class TestCalibrate:
         assert code == 2 and out == ""
         assert "line 3" in err and "1O0000" in err
 
+    def test_mistyped_first_point_is_not_a_header(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("1O0000,81.2\n0,34.5\n500000,268.2\n")
+        code, out, err = run_cli(capsys, "calibrate", points)
+        assert code == 2 and out == ""
+        assert "line 1" in err and "1O0000" in err
+
+    def test_header_after_comments_is_skipped(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("# bench A\n\nrate,watts\n0,30\n1000,31\n")
+        code, out, _ = run_cli(capsys, "calibrate", points)
+        assert code == 0
+        assert out == "ric_static_watts,watts_per_sample_rate\n30,0.001\n"
+
     def test_line_without_a_comma_exits_2(self, capsys, tmp_path):
         points = tmp_path / "points.csv"
         points.write_text("0,34.5\n500000 268.2\n")
         code, out, err = run_cli(capsys, "calibrate", points)
         assert code == 2 and out == ""
         assert "line 2" in err and "500000 268.2" in err
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestLiveRoles:
+    def test_xapp_prints_its_counters(self, capsys, tmp_path):
+        broker = wire.Broker()
+        broker.start()
+        host, port = broker.address
+        node = wire.NodeEmulator(host, port, node_id=3)
+        node.start()
+        subscribe = tmp_path / "sub.cfg"
+        subscribe.write_text("[subscribe]\nxapp = 7\nnode = 3\nitems = K0:20, K1:20\n")
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "xapp", "--broker", f"{host}:{port}",
+                "--subscribe", subscribe, "--duration", "0.5",
+            )
+        finally:
+            node.stop()
+            broker.stop()
+        assert code == 0, err
+        counters = json.loads(out)
+        assert counters["messages"] >= 1
+        assert counters["samples"] == 2 * counters["messages"]
+
+    def test_rejected_subscription_exits_1(self, capsys, tmp_path):
+        broker = wire.Broker()
+        broker.start()
+        subscribe = tmp_path / "sub.cfg"
+        subscribe.write_text("[subscribe]\nxapp = 7\nnode = 4\nitems = K0:20\n")
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "xapp", "--broker", "%s:%d" % broker.address,
+                "--subscribe", subscribe, "--duration", "0",
+            )
+        finally:
+            broker.stop()
+        assert code == 1 and out == ""
+        assert error_lines(err) == ["error: subscription rejected: unknown node"]
+
+    def test_xapp_without_a_broker_exits_1(self, capsys, tmp_path):
+        subscribe = tmp_path / "sub.cfg"
+        subscribe.write_text("[subscribe]\nxapp = 7\nnode = 4\nitems = K0:20\n")
+        code, out, err = run_cli(
+            capsys, "xapp", "--broker", "127.0.0.1:1", "--subscribe", subscribe
+        )
+        assert code == 1 and out == ""
+        assert len(error_lines(err)) == 1 and "unreachable" in err
+
+    @pytest.mark.parametrize(
+        "reply, cause",
+        [
+            (None, "read failed: timed out"),
+            (struct.pack(">IB", 1, 99), "malformed frame: unknown message kind: 99"),
+        ],
+        ids=["silent", "malformed"],
+    )
+    def test_node_setup_failure_exits_1(self, capsys, monkeypatch, setup_replier, reply, cause):
+        monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.2)
+        replier = setup_replier(reply)
+        code, out, err = run_cli(
+            capsys, "node", "--broker", "%s:%d" % replier.address, "--node-id", "1"
+        )
+        assert code == 1 and out == ""
+        (line,) = error_lines(err)
+        assert cause in line
+
+    @pytest.mark.parametrize("role", ["node", "xapp"])
+    def test_bad_broker_address_exits_2(self, capsys, tmp_path, role):
+        extra = ["--node-id", "1"] if role == "node" else ["--subscribe", tmp_path / "x.cfg"]
+        code, out, err = run_cli(capsys, role, "--broker", "localhost", *extra)
+        assert code == 2 and out == ""
+        assert error_lines(err) == ["error: bad address (want host:port): 'localhost'"]
+
+    def test_broker_process_logs_its_port_and_exits_0_on_sigint(self):
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ricmerge.cli", "broker", "--listen", "127.0.0.1:0"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        watchdog = threading.Timer(20, proc.kill)  # bounds a broker that never logs
+        watchdog.start()
+        try:
+            match = None
+            while match is None:
+                line = proc.stderr.readline()
+                assert line, "broker exited before it was listening"
+                match = re.search(rb"broker listening on 127\.0\.0\.1:(\d+)", line)
+            socket.create_connection(("127.0.0.1", int(match.group(1))), timeout=5).close()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stderr.close()

@@ -546,6 +546,38 @@ class TestLiveMode:
             node.start()
         assert time.monotonic() - started < 5
 
+    def test_fewer_than_one_connect_attempt_is_rejected(self):
+        with pytest.raises(ValueError, match="connect_attempts must be at least 1"):
+            NodeEmulator("127.0.0.1", 1, node_id=9, connect_attempts=0)
+
+    def test_unreachable_broker_fails_the_xapp_connect(self):
+        client = XAppClient("127.0.0.1", 1, 1)
+        with pytest.raises(ConnectionError, match=r"unreachable \(attempts: 1\)"):
+            client.connect()
+        client.close()
+
+    @pytest.mark.parametrize(
+        "reply, cause",
+        [
+            (None, "setup failed: read failed: timed out"),
+            (b"\0\0\0\0", "setup failed: malformed frame: truncated frame"),
+            (b"", "setup failed: connection closed"),
+            (encode(Indication(9, 0, 10, ())), "setup failed: unexpected Indication"),
+            (encode(SetupResponse(9, False, "no")), "setup rejected: no"),
+        ],
+        ids=["silent", "malformed", "closed", "wrong-kind", "rejected"],
+    )
+    def test_failed_setup_closes_the_socket(self, monkeypatch, setup_replier, reply, cause):
+        monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.2)
+        replier = setup_replier(reply)
+        node = NodeEmulator(*replier.address, node_id=9)
+        with pytest.raises(ConnectionError) as exc:
+            node.start()
+        assert str(exc.value) == cause
+        replier.close()
+        assert replier.node_closed is True
+        node.stop()
+
 
 def node_threads(node_id):
     return sorted(
