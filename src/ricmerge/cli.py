@@ -4,8 +4,8 @@ Subcommands: ``run`` (one scenario comparison), ``sweep`` (one axis),
 ``calibrate`` (fit a power model to measured points), and the live-mode
 roles ``broker``, ``node``, ``xapp``, run until Ctrl-C or ``--duration``.
 Results go to stdout or ``--out`` as CSV or JSON, byte-identical for
-identical invocations. Exit code 2 means a bad config or input, 1 a live
-role that could not connect, set up or subscribe.
+identical invocations. Exit code 2 means a bad config, input or output
+file, 1 a live role that could not listen, connect, set up or subscribe.
 """
 
 from __future__ import annotations
@@ -65,9 +65,12 @@ def _is_number(text: str) -> bool:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _render(rows, fmt: str) -> str:
@@ -230,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ConnectionError, TimeoutError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1  # config or input: 2; live role: 1
 

@@ -28,6 +28,10 @@ than patched incrementally. Within one bulk insert, groups of the same
 A plan's ``feeds`` view pairs each stream with the xApps it feeds; the
 simulator takes such rows, and the live broker keeps the engine's plans
 as its routing snapshot and fans indications out through ``feeds``.
+
+Every mutation returns the plan edit it caused as :class:`StreamChange`
+items: the streams the node must stop (REMOVED), then those it must start
+(ADDED). A retimed stream is one of each.
 """
 
 from __future__ import annotations
@@ -263,16 +267,14 @@ class TransmissionPlan:
 class ChangeAction(str, Enum):
     ADDED = "added"
     REMOVED = "removed"
-    RETIMED = "retimed"
 
 
 @dataclass(frozen=True)
 class StreamChange:
-    """One plan edit; RETIMED carries the stream it replaces."""
+    """One plan edit: a stream the node must start (ADDED) or stop (REMOVED)."""
 
     action: ChangeAction
     stream: StreamSpec
-    previous: StreamSpec | None = None
 
 
 @dataclass
@@ -378,27 +380,17 @@ def _plan(
 def _diff_plans(
     old: TransmissionPlan | None, new: TransmissionPlan | None
 ) -> list[StreamChange]:
-    """Describe the edit from ``old`` to ``new`` by stream period.
+    """The edit from ``old`` to ``new``: the streams that vanished, then the
+    streams that appeared, each in plan order (ascending period).
 
-    Disappearing and appearing periods are paired up (ascending) as
-    retimes; the leftovers are plain removals or additions. Streams kept
-    at the same period need no node-side action even if their fan-out
-    changed.
+    A stream kept at the same period needs no node-side action even if
+    its fan-out changed.
     """
-    old_streams = {s.period_ms: s for s in (old.streams if old else ())}
-    new_streams = {s.period_ms: s for s in (new.streams if new else ())}
-    gone = sorted(p for p in old_streams if p not in new_streams)
-    fresh = sorted(p for p in new_streams if p not in old_streams)
-    changes = []
-    for old_p, new_p in zip(gone, fresh):
-        changes.append(
-            StreamChange(ChangeAction.RETIMED, new_streams[new_p], old_streams[old_p])
-        )
-    for period in gone[len(fresh):]:
-        changes.append(StreamChange(ChangeAction.REMOVED, old_streams[period]))
-    for period in fresh[len(gone):]:
-        changes.append(StreamChange(ChangeAction.ADDED, new_streams[period]))
-    return changes
+    before = old.streams if old else ()
+    after = new.streams if new else ()
+    return [StreamChange(ChangeAction.REMOVED, s) for s in before if s not in after] + [
+        StreamChange(ChangeAction.ADDED, s) for s in after if s not in before
+    ]
 
 
 class MergeState:
@@ -491,7 +483,4 @@ class MergeState:
             self._plans.pop(key, None)
             return _diff_plans(old, None)
         new = self._plans[key] = _plan(*key, group.values(), folds)
-        if old is None:
-            # Every stream is new; plan streams ascend by period.
-            return [StreamChange(ChangeAction.ADDED, s) for s in new.streams]
         return _diff_plans(old, new)

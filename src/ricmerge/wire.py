@@ -12,9 +12,11 @@ an item's optional staleness tolerance. The protocol is
 versioned by a byte in the setup request and is deliberately not
 interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
 
-Subscription mutations are serialized through one broker-side lock;
-indication fan-out reads the engine's plans as a snapshot that is swapped
-atomically whenever plans change, and follows each plan's ``feeds``.
+Subscription mutations are serialized through one broker-side lock, and
+every push to a node goes out under it: the setup reply and backlog, then
+each commit's added and removed streams. Indication fan-out reads the
+engine's plans as a snapshot that is swapped atomically whenever plans
+change, and follows each plan's ``feeds``.
 
 Threads: the broker runs an accept thread, one thread per connection and
 a stats thread; a node runs a reader and an emitter; an xApp runs a
@@ -53,6 +55,14 @@ KIND_INDICATION = 6
 # Timeout for connecting and for the node's setup exchange. Cleared once
 # connected: an idle subscription must not end the read loop.
 CONNECT_TIMEOUT_S = 5.0
+
+# A node tries this many times to connect, waiting CONNECT_BACKOFF_S after
+# the first failure and twice as long after each further one.
+CONNECT_ATTEMPTS = 5
+CONNECT_BACKOFF_S = 0.2
+
+# How long an xApp waits for the broker's reply to a subscribe.
+REPLY_TIMEOUT_S = 5.0
 
 # Entries kept in the node's and the xApp's emit-time logs (the newest).
 EMIT_LOG_LEN = 1 << 16
@@ -306,6 +316,18 @@ class _Peer:
         self.sock.close()
 
 
+def _push(peer: _Peer, msg: Subscribe | Unsubscribe) -> None:
+    """Send a subscription change to a node; log a warning if it is not delivered."""
+    if not peer.send(msg):
+        logger.warning(
+            "node %d: %s of %d items not delivered, first %s",
+            msg.node,
+            type(msg).__name__,
+            len(msg.items),
+            list(msg.items[:LOGGED_ITEMS]),
+        )
+
+
 @dataclass
 class NodeTraffic:
     """Indication accounting for one connected node."""
@@ -353,10 +375,9 @@ class Broker:
         return self._listener.getsockname()
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self._listen_addr)
-        listener.listen()
+        """Listen and start serving; raises ``OSError`` naming the address
+        when it cannot be bound."""
+        listener = socket.create_server(self._listen_addr)
         self._listener = listener
         self._threads.append(_start(self._accept_loop, "broker-accept", listener))
         if self._stats_interval:
@@ -449,19 +470,22 @@ class Broker:
             peer.close()
 
     def _handle_setup(self, peer: _Peer, msg: SetupRequest) -> int | None:
-        if msg.version != PROTOCOL_VERSION:
-            peer.send(SetupResponse(msg.node, False, "unsupported protocol version"))
-            return None
+        """Answer a setup request; an accepted node also gets its planned
+        streams. Both go out under the lock, so every later push reaches
+        the node after them."""
         with self._lock:
+            if msg.version != PROTOCOL_VERSION:
+                peer.send(SetupResponse(msg.node, False, "unsupported protocol version"))
+                return None
             if msg.node in self._nodes:
                 peer.send(SetupResponse(msg.node, False, "node already connected"))
                 return None
             self._nodes[msg.node] = peer
             self.node_traffic.setdefault(msg.node, NodeTraffic())
+            peer.send(SetupResponse(msg.node, True))
             backlog = tuple(self._node_items(msg.node))
-        peer.send(SetupResponse(msg.node, True))
-        if backlog:
-            peer.send(Subscribe(BROKER_SENDER, msg.node, backlog))
+            if backlog:
+                _push(peer, Subscribe(BROKER_SENDER, msg.node, backlog))
         logger.info("node %d connected", msg.node)
         return msg.node
 
@@ -518,33 +542,26 @@ class Broker:
     def _commit(self, changes) -> None:
         """Publish the engine's plans and push ``changes`` to the nodes; hold the lock.
 
-        Subscribes go out before unsubscribes, so a retimed KPI is never
-        without a stream on its node. No (KPI, period) is both added and
-        dropped in one commit, so the order cannot undo an add.
+        Each node gets its ADDED streams as one Subscribe, then its REMOVED
+        streams as one Unsubscribe, each in the order of ``changes``. So a
+        retimed KPI is never without a stream on its node. No (KPI, period)
+        is both added and dropped in one commit, so the order cannot undo
+        an add.
         """
         self._routing = self._engine.plans()
         adds: dict[int, list[SubscriptionItem]] = {}
         drops: dict[int, list[tuple[str, int]]] = {}
         for change in changes:
-            if change.action is ChangeAction.REMOVED:
-                new, old = None, change.stream
+            s = change.stream
+            if change.action is ChangeAction.ADDED:
+                adds.setdefault(s.node, []).append(SubscriptionItem(s.kpi, s.period_ms))
             else:
-                new, old = change.stream, change.previous
-            if new is not None:
-                adds.setdefault(new.node, []).append(SubscriptionItem(new.kpi, new.period_ms))
-            if old is not None:
-                drops.setdefault(old.node, []).append((old.kpi, old.period_ms))
+                drops.setdefault(s.node, []).append((s.kpi, s.period_ms))
         for message, per_node in ((Subscribe, adds), (Unsubscribe, drops)):
             for node, items in per_node.items():
                 peer = self._nodes.get(node)
-                if peer is not None and not peer.send(message(BROKER_SENDER, node, tuple(items))):
-                    logger.warning(
-                        "node %d: %s of %d items not delivered, first %s",
-                        node,
-                        message.__name__,
-                        len(items),
-                        items[:LOGGED_ITEMS],
-                    )
+                if peer is not None:
+                    _push(peer, message(BROKER_SENDER, node, tuple(items)))
 
     def _cleanup(self, peer: _Peer, node_id: int | None, xapp_id: int | None) -> None:
         with self._lock:
@@ -566,20 +583,9 @@ class NodeEmulator:
     first subscribed, then once per period.
     """
 
-    def __init__(
-        self,
-        broker_host: str,
-        broker_port: int,
-        node_id: int,
-        connect_attempts: int = 5,
-        backoff_s: float = 0.2,
-    ) -> None:
-        if connect_attempts < 1:
-            raise ValueError(f"connect_attempts must be at least 1, got {connect_attempts}")
+    def __init__(self, broker_host: str, broker_port: int, node_id: int) -> None:
         self.node_id = node_id
         self._addr = (broker_host, broker_port)
-        self._connect_attempts = connect_attempts
-        self._backoff_s = backoff_s
         self._peer: _Peer | None = None
         self._stopping = threading.Event()
         self._lock = threading.Lock()
@@ -596,7 +602,7 @@ class NodeEmulator:
 
     def start(self) -> None:
         """Connect and set up; on any failure, close and raise ``ConnectionError``."""
-        peer = _Peer(_connect(self._addr, self._connect_attempts, self._backoff_s))
+        peer = _Peer(_connect(self._addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF_S))
         peer.send(SetupRequest(self.node_id))
         reply = next(peer.messages(self._stopping), (None, 0))[0]
         if not isinstance(reply, SetupResponse) or not reply.accepted:
@@ -721,13 +727,11 @@ class XAppClient:
         if self._reader is not None:
             self._reader.join(timeout=5)
 
-    def subscribe(
-        self, node: int, items: tuple[SubscriptionItem, ...], timeout_s: float = 5.0
-    ) -> SubscribeReply:
+    def subscribe(self, node: int, items: tuple[SubscriptionItem, ...]) -> SubscribeReply:
         if self._peer is None:
             raise RuntimeError("not connected")
         self._peer.send(Subscribe(self.xapp_id, node, items))
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
         with self._reply_ready:
             while not self._replies:
                 remaining = deadline - time.monotonic()

@@ -60,6 +60,15 @@ class TestRun:
         assert code == 0 and out == ""
         assert target.read_text() == (GOLDEN / "run_small.csv").read_text()
 
+    def test_out_file_that_cannot_be_written_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "run", REPO / "configs" / "small.cfg", "--out", target
+        )
+        assert code == 2 and out == ""
+        (line,) = error_lines(err)
+        assert line.startswith(f"error: cannot write {target}: ")
+
     def test_large_scenario_max_redundancy_row(self, capsys):
         code, out, _ = run_cli(capsys, "run", REPO / "configs" / "large.cfg")
         assert code == 0
@@ -320,6 +329,14 @@ class TestLiveRoles:
         code, out, err = run_cli(capsys, role, "--broker", "localhost", *extra)
         assert code == 2 and out == ""
         assert error_lines(err) == ["error: bad address (want host:port): 'localhost'"]
+
+    def test_broker_on_a_port_in_use_exits_1(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            code, out, err = run_cli(capsys, "broker", "--listen", f"127.0.0.1:{port}")
+        assert code == 1 and out == ""
+        (line,) = error_lines(err)
+        assert "Address already in use" in line and str(port) in line
 
     def test_broker_process_logs_its_port_and_exits_0_on_sigint(self):
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))

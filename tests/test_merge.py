@@ -232,14 +232,17 @@ class TestMergeState:
         assert [s.period_ms for s in plan.streams] == [1]
         assert set(plan.fanout) == {0, 1, 2}
 
-    def test_retime_change_carries_previous_stream(self):
+    def test_retime_removes_the_old_streams_then_adds_the_new(self):
         state = MergeState()
         state.add_demand(demand(1, 2))
         state.add_demand(demand(2, 3))
         changes = state.add_demand(demand(3, 4))
-        retimes = [c for c in changes if c.action is ChangeAction.RETIMED]
-        assert retimes and retimes[0].previous is not None
-        assert retimes[0].stream.period_ms == 1
+        # {2, 3} ms collapse to one 1 ms stream.
+        assert [(c.action, c.stream.period_ms) for c in changes] == [
+            (ChangeAction.REMOVED, 2),
+            (ChangeAction.REMOVED, 3),
+            (ChangeAction.ADDED, 1),
+        ]
 
     def test_total_sample_rate(self):
         state = MergeState()
@@ -528,7 +531,8 @@ def test_engine_matches_reference_fold():
             if action == "add":
                 requested[d.xapp, d.kpi] = d.period_ms
             else:
-                removal_retimes += any(c.action is ChangeAction.RETIMED for c in changes)
+                actions = {c.action for c in changes}
+                removal_retimes += {ChangeAction.ADDED, ChangeAction.REMOVED} <= actions
             for (_, kpi), plan in plans.items():
                 periods = {requested[x, kpi] for x in plan.fanout}
                 gcd_streams += sum(s.period_ms not in periods for s in plan.streams)

@@ -247,6 +247,22 @@ class FakePeer:
         return self.delivers
 
 
+class RacingPeer(FakePeer):
+    """A node that, when sent its setup reply, first starts ``racer`` and
+    waits up to 0.3 s for it, as if another connection's push were
+    scheduled just before the reply goes out."""
+
+    def __init__(self, racer):
+        super().__init__()
+        self.racer = racer
+
+    def send(self, msg):
+        if isinstance(msg, SetupResponse):
+            self.racer.start()
+            self.racer.join(timeout=0.3)
+        return super().send(msg)
+
+
 class TestRouting:
     def test_indication_reaches_only_the_xapps_of_its_period(self):
         broker = Broker()
@@ -302,6 +318,41 @@ class TestRouting:
         broker._xapps[10] = xapp
         broker._handle_subscribe(xapp, Subscribe(10, 7, (SubscriptionItem("K0", 40),)))
         assert xapp.sent == [SubscribeReply(7, True)]
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "node 7" in record.getMessage()
+        assert "Subscribe" in record.getMessage()
+        assert "K0" in record.getMessage()
+
+    def test_setup_reply_and_backlog_reach_the_node_before_a_racing_push(self):
+        broker = Broker()
+        first, xapp = FakePeer(), FakePeer()
+        broker._handle_setup(first, SetupRequest(1))
+        broker._xapps[10] = xapp
+        broker._handle_subscribe(xapp, Subscribe(10, 1, (SubscriptionItem("K0", 40),)))
+        del broker._nodes[1]
+        racer = threading.Thread(
+            target=broker._handle_subscribe,
+            args=(xapp, Subscribe(10, 1, (SubscriptionItem("K1", 40),))),
+        )
+        node = RacingPeer(racer)
+        assert broker._handle_setup(node, SetupRequest(1)) == 1
+        racer.join(timeout=5)
+        assert not racer.is_alive()
+        assert node.sent == [
+            SetupResponse(1, True),
+            Subscribe(BROKER_SENDER, 1, (SubscriptionItem("K0", 40),)),
+            Subscribe(BROKER_SENDER, 1, (SubscriptionItem("K1", 40),)),
+        ]
+
+    def test_undelivered_setup_backlog_is_logged(self, caplog):
+        caplog.set_level(logging.WARNING, logger="ricmerge.wire")
+        broker = Broker()
+        first, xapp = FakePeer(), FakePeer()
+        broker._handle_setup(first, SetupRequest(7))
+        broker._xapps[10] = xapp
+        broker._handle_subscribe(xapp, Subscribe(10, 7, (SubscriptionItem("K0", 40),)))
+        del broker._nodes[7]
+        broker._handle_setup(FakePeer(delivers=False), SetupRequest(7))
         [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert "node 7" in record.getMessage()
         assert "Subscribe" in record.getMessage()
@@ -539,16 +590,14 @@ class TestLiveMode:
             second.start()
         first.stop()
 
-    def test_unreachable_broker_retries_then_fails(self):
-        node = NodeEmulator("127.0.0.1", 1, node_id=9, connect_attempts=2, backoff_s=0.01)
+    def test_unreachable_broker_retries_then_fails(self, monkeypatch):
+        monkeypatch.setattr(wire, "CONNECT_ATTEMPTS", 2)
+        monkeypatch.setattr(wire, "CONNECT_BACKOFF_S", 0.01)
+        node = NodeEmulator("127.0.0.1", 1, node_id=9)
         started = time.monotonic()
-        with pytest.raises(ConnectionError, match="unreachable"):
+        with pytest.raises(ConnectionError, match=r"unreachable \(attempts: 2\)"):
             node.start()
         assert time.monotonic() - started < 5
-
-    def test_fewer_than_one_connect_attempt_is_rejected(self):
-        with pytest.raises(ValueError, match="connect_attempts must be at least 1"):
-            NodeEmulator("127.0.0.1", 1, node_id=9, connect_attempts=0)
 
     def test_unreachable_broker_fails_the_xapp_connect(self):
         client = XAppClient("127.0.0.1", 1, 1)
