@@ -25,8 +25,12 @@ from the full demand set (including a stream consolidation pass) rather
 than patched incrementally. Within one bulk insert, groups of the same
 (period, tolerance) shape share one fold.
 
-A plan's ``feeds`` view pairs each stream with the xApps it feeds; the
-simulator takes such rows, and the live broker keeps the engine's plans
+The engine keeps each group as its shape's :class:`Fold` plus its xApp
+ids in rank order. A fold is validated once, through the
+:class:`TransmissionPlan` of the first group that has it; any other
+group's plan is built when first read and cached until the group
+changes. :meth:`MergeState.classes` hands the simulator each fold with
+the groups that share it, and the live broker keeps the engine's plans
 as its routing snapshot and fans indications out through ``feeds``.
 
 Every mutation returns the plan edit it caused as :class:`StreamChange`
@@ -70,11 +74,12 @@ class SampleCounts(NamedTuple):
     second: int
 
 
-def streams_sample_rate(streams: Iterable["StreamSpec"]) -> Fraction:
-    """Exact samples per second of a stream collection."""
+def classes_sample_rate(classes: Iterable["PlanClass"]) -> Fraction:
+    """Exact samples per second of every stream of every group of ``classes``."""
     by_period: dict[int, int] = {}
-    for stream in streams:
-        by_period[stream.period_ms] = by_period.get(stream.period_ms, 0) + 1
+    for fold, groups in classes:
+        for period in fold.periods:
+            by_period[period] = by_period.get(period, 0) + len(groups)
     rate = Fraction(0)
     for period, count in by_period.items():
         rate += Fraction(1000 * count, period)
@@ -214,8 +219,35 @@ class StreamSpec:
 
 
 # One stream and the xApps it feeds, in ascending id order: the row
-# shape the simulator and the broker's indication fan-out read.
+# shape the broker's indication fan-out reads.
 Feed = tuple[StreamSpec, tuple[XAppId, ...]]
+
+
+class Fold(NamedTuple):
+    """One group shape's plan, in ranks (a demand's place in fold order).
+
+    ``periods`` are the stream periods, ascending; ``feeds`` holds, for
+    each stream, the ranks it feeds in the order they joined it.
+    """
+
+    periods: tuple[int, ...]
+    feeds: tuple[tuple[int, ...], ...]
+
+
+# One (node, KPI) group: its xApp ids in rank order.
+Group = tuple[E2NodeId, KpiId, tuple[XAppId, ...]]
+
+
+class PlanClass(NamedTuple):
+    """A fold plus the groups that share it: the layout the simulator reads.
+
+    A feed row (one stream and the xApps it feeds) is a class of one group
+    whose fold has one stream.
+    """
+
+    fold: Fold
+    groups: list[Group]
+
 
 _FANOUT_ERROR = (
     "fan-out must cover every stream with at least one xApp "
@@ -339,58 +371,61 @@ def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
 
 
 _shape_of = attrgetter("period_ms", "sensitivity_ms")
+_xapp_of = attrgetter("xapp")
 
-# A group's shape: its (period, tolerance) pairs in fold order. Its fold:
-# the stream periods, then (rank in fold order, stream index) for each
-# demand, in the order the demands joined streams.
+# A group's shape: its (period, tolerance) pairs in fold order.
 _Shape = tuple[tuple[int, int | None], ...]
-_Fold = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+_Key = tuple[E2NodeId, KpiId]
 
 
-def _plan(
-    node: E2NodeId,
-    kpi: KpiId,
-    group: Iterable[KpiDemand],
-    folds: dict[_Shape, _Fold],
-) -> TransmissionPlan:
-    """Plan one (node, KPI) group, folding its shape only if ``folds`` lacks it.
+def _fold(
+    demands: Iterable[KpiDemand], folds: dict[_Shape, Fold]
+) -> tuple[Fold, tuple[XAppId, ...], bool]:
+    """One group's fold and xApp ids in rank order, folding its shape only
+    if ``folds`` lacks it; the flag says whether it did.
 
     :func:`_build_streams` reads nothing but the shape: it breaks ties by
     xApp id, and in fold order ids sort like ranks. So one fold, kept as
     ranks, serves every group of that shape once the ranks name its own
     xApps.
     """
-    ordered = sorted(group, key=_fold_order)
+    ordered = sorted(demands, key=_fold_order)
+    xapps = tuple(map(_xapp_of, ordered))
     shape = tuple(map(_shape_of, ordered))
     fold = folds.get(shape)
-    if fold is None:
-        rank = {d.xapp: r for r, d in enumerate(ordered)}
-        streams = _build_streams(ordered)
-        fold = folds[shape] = (
-            tuple(s.period_ms for s in streams),
-            tuple((rank[m.xapp], i) for i, s in enumerate(streams) for m in s.members),
-        )
-    periods, members = fold
+    if fold is not None:
+        return fold, xapps, False
+    rank = dict(zip(xapps, range(len(xapps))))
+    streams = _build_streams(ordered)
+    fold = folds[shape] = Fold(
+        tuple([s.period_ms for s in streams]),
+        tuple([tuple([rank[m.xapp] for m in s.members]) for s in streams]),
+    )
+    return fold, xapps, True
+
+
+def _plan(key: _Key, fold: Fold, xapps: tuple[XAppId, ...]) -> TransmissionPlan:
+    """The plan of one group: its fold with the ranks naming its xApps."""
+    node, kpi = key
     return TransmissionPlan(
-        tuple(StreamSpec(node, kpi, period) for period in periods),
-        {ordered[r].xapp: i for r, i in members},
+        tuple(StreamSpec(node, kpi, period) for period in fold.periods),
+        {xapps[r]: i for i, ranks in enumerate(fold.feeds) for r in ranks},
     )
 
 
-def _diff_plans(
-    old: TransmissionPlan | None, new: TransmissionPlan | None
+def _diff_periods(
+    key: _Key, before: tuple[int, ...], after: tuple[int, ...]
 ) -> list[StreamChange]:
-    """The edit from ``old`` to ``new``: the streams that vanished, then the
-    streams that appeared, each in plan order (ascending period).
+    """The edit from streams at ``before`` to streams at ``after``: the
+    streams that vanished, then the streams that appeared, each in plan
+    order (ascending period).
 
     A stream kept at the same period needs no node-side action even if
     its fan-out changed.
     """
-    before = old.streams if old else ()
-    after = new.streams if new else ()
-    return [StreamChange(ChangeAction.REMOVED, s) for s in before if s not in after] + [
-        StreamChange(ChangeAction.ADDED, s) for s in after if s not in before
-    ]
+    return [
+        StreamChange(ChangeAction.REMOVED, StreamSpec(*key, p)) for p in before if p not in after
+    ] + [StreamChange(ChangeAction.ADDED, StreamSpec(*key, p)) for p in after if p not in before]
 
 
 class MergeState:
@@ -403,17 +438,40 @@ class MergeState:
     """
 
     def __init__(self) -> None:
-        self._demands: dict[tuple[E2NodeId, KpiId], dict[XAppId, KpiDemand]] = {}
-        self._plans: dict[tuple[E2NodeId, KpiId], TransmissionPlan] = {}
+        self._demands: dict[_Key, dict[XAppId, KpiDemand]] = {}
+        # Each group's fold and its xApp ids in rank order.
+        self._groups: dict[_Key, tuple[Fold, tuple[XAppId, ...]]] = {}
+        # The plans built so far; a group's plan goes when the group changes.
+        self._plans: dict[_Key, TransmissionPlan] = {}
 
     def demand_count(self) -> int:
         return sum(len(v) for v in self._demands.values())
 
     def plan_for(self, node: E2NodeId, kpi: KpiId) -> TransmissionPlan | None:
-        return self._plans.get((node, kpi))
+        """The group's plan, built on first read and kept until the group changes."""
+        key = (node, kpi)
+        plan = self._plans.get(key)
+        if plan is None:
+            group = self._groups.get(key)
+            if group is None:
+                return None
+            plan = self._plans[key] = _plan(key, *group)
+        return plan
 
-    def plans(self) -> dict[tuple[E2NodeId, KpiId], TransmissionPlan]:
+    def plans(self) -> dict[_Key, TransmissionPlan]:
+        """Every group's plan, building the ones not read since they changed."""
+        if len(self._plans) < len(self._groups):
+            for key in self._groups:
+                if key not in self._plans:
+                    self.plan_for(*key)
         return dict(self._plans)
+
+    def classes(self) -> list[PlanClass]:
+        """Every group, classed by the fold it shares; builds no plan."""
+        by_fold: dict[Fold, list[Group]] = {}
+        for (node, kpi), (fold, xapps) in self._groups.items():
+            by_fold.setdefault(fold, []).append((node, kpi, xapps))
+        return [PlanClass(fold, groups) for fold, groups in by_fold.items()]
 
     def demands(self) -> list[KpiDemand]:
         return [d for group in self._demands.values() for d in group.values()]
@@ -422,12 +480,12 @@ class MergeState:
         return self.add_demands([demand])
 
     def add_demands(self, demands: Iterable[KpiDemand]) -> list[StreamChange]:
-        """Insert demands atomically, recomputing each touched plan once.
+        """Insert demands atomically, recomputing each touched group once.
 
         Either every demand is admitted (exactly identical re-submissions
         are ignored) or the state is left untouched.
         """
-        pending: dict[tuple[E2NodeId, KpiId], dict[XAppId, KpiDemand]] = {}
+        pending: dict[_Key, dict[XAppId, KpiDemand]] = {}
         for demand in demands:
             key = (demand.node, demand.kpi)
             active = self._demands.get(key, {}).get(demand.xapp)
@@ -442,7 +500,7 @@ class MergeState:
                 )
         for key, group in pending.items():
             self._demands.setdefault(key, {}).update(group)
-        folds: dict[_Shape, _Fold] = {}
+        folds: dict[_Shape, Fold] = {}
         changes = []
         for key in sorted(pending):
             changes.extend(self._recompute(key, folds))
@@ -469,18 +527,23 @@ class MergeState:
 
     def total_sample_rate(self) -> Fraction:
         """Aggregate samples per second over all planned streams."""
-        return streams_sample_rate(
-            s for plan in self._plans.values() for s in plan.streams
-        )
+        return classes_sample_rate(self.classes())
 
-    def _recompute(
-        self, key: tuple[E2NodeId, KpiId], folds: dict[_Shape, _Fold]
-    ) -> list[StreamChange]:
-        """Rebuild one group's plan, reusing the shapes in ``folds``."""
-        old = self._plans.get(key)
-        group = self._demands.get(key)
-        if not group:
-            self._plans.pop(key, None)
-            return _diff_plans(old, None)
-        new = self._plans[key] = _plan(*key, group.values(), folds)
-        return _diff_plans(old, new)
+    def _recompute(self, key: _Key, folds: dict[_Shape, Fold]) -> list[StreamChange]:
+        """Refold one group, reusing the shapes in ``folds``.
+
+        The first group of a new shape validates its fold by building its
+        plan through :class:`TransmissionPlan`, and keeps that plan.
+        """
+        old = self._groups.get(key)
+        before = old[0].periods if old else ()
+        self._plans.pop(key, None)
+        demands = self._demands.get(key)
+        if not demands:
+            self._groups.pop(key, None)
+            return _diff_periods(key, before, ())
+        fold, xapps, new_shape = _fold(demands.values(), folds)
+        self._groups[key] = (fold, xapps)
+        if new_shape:
+            self._plans[key] = _plan(key, fold, xapps)
+        return _diff_periods(key, before, fold.periods)

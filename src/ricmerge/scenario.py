@@ -8,10 +8,15 @@ therefore cannot see the overlap, while per-KPI merging removes it.
 
 ``compare`` runs the same demand set through three modes (no dedup,
 whole-request dedup, per-KPI merge), prices each transmitted rate with
-the power model and returns one ``SweepRow`` per mode. ``sweep`` repeats
-that along one axis of ``SWEEP_AXES``, which names the scenario field
-each axis sets, its type and its default grid. ``rows_to_csv`` and
-``rows_to_json`` render either's rows.
+the power model and returns one ``SweepRow`` per mode. Each mode lays
+its streams out as classes (:class:`~ricmerge.merge.PlanClass`): a fold
+plus the (node, KPI) groups that share it, so the rate and the
+simulation cost what the distinct folds cost, and no per-group plan is
+built. The baseline modes send each stream on its own, one class per
+(period, number of xApps fed); the merged mode takes the engine's
+classes. ``sweep`` repeats that along one axis of ``SWEEP_AXES``, which
+names the scenario field each axis sets, its type and its default grid.
+``rows_to_csv`` and ``rows_to_json`` render either's rows.
 """
 
 from __future__ import annotations
@@ -22,17 +27,20 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import power
 from .e2model import (
+    E2NodeId,
     KpiDemand,
+    KpiId,
     SubscriptionItem,
     SubscriptionRequest,
+    XAppId,
     decompose,
     request_fingerprint,
 )
-from .merge import Feed, MergeState, StreamSpec, streams_sample_rate
+from .merge import Fold, Group, MergeState, PlanClass, classes_sample_rate
 from .power import PowerModel
 from .sim import Batching, SimConfig, run as sim_run
 
@@ -164,20 +172,33 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     return requests
 
 
-def _whole_request_rows(requests: list[SubscriptionRequest]) -> list[Feed]:
+# One stream sent on its own: its node, KPI and period, and the xApps it feeds.
+_Row = tuple[E2NodeId, KpiId, int, tuple[XAppId, ...]]
+
+
+def _stream_classes(rows: Iterable[_Row]) -> list[PlanClass]:
+    """The classes of streams that are each sent on their own."""
+    by_fold: dict[tuple[int, int], list[Group]] = {}
+    for node, kpi, period, xapps in rows:
+        by_fold.setdefault((period, len(xapps)), []).append((node, kpi, xapps))
+    return [
+        PlanClass(Fold((period,), (tuple(range(fed)),)), groups)
+        for (period, fed), groups in by_fold.items()
+    ]
+
+
+def _whole_request_rows(requests: list[SubscriptionRequest]) -> Iterator[_Row]:
     """Stream rows under whole-request dedup: requests with identical
     content hashes share the first request's streams; everything else is
     transmitted as-is."""
     groups: dict[bytes, list[SubscriptionRequest]] = {}
     for request in requests:
         groups.setdefault(request_fingerprint(request), []).append(request)
-    rows = []
     for members in groups.values():
         keeper = members[0]
         xapps = tuple(sorted({m.xapp for m in members}))
         for item in keeper.items:
-            rows.append((StreamSpec(keeper.node, item.kpi, item.period_ms), xapps))
-    return rows
+            yield keeper.node, item.kpi, item.period_ms, xapps
 
 
 @dataclass(frozen=True)
@@ -210,17 +231,17 @@ def _mode_layout(
     mode: DedupMode,
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
-) -> tuple[list[Feed], Fraction]:
-    """The mode's transmitted stream rows and their total sample rate."""
+) -> tuple[list[PlanClass], Fraction]:
+    """The mode's transmitted streams as classes, and their total sample rate."""
     if mode is DedupMode.NO_DEDUP:
-        rows = [(StreamSpec(d.node, d.kpi, d.period_ms), (d.xapp,)) for d in demands]
+        classes = _stream_classes((d.node, d.kpi, d.period_ms, (d.xapp,)) for d in demands)
     elif mode is DedupMode.WHOLE_REQUEST:
-        rows = _whole_request_rows(requests)
+        classes = _stream_classes(_whole_request_rows(requests))
     else:
         state = MergeState()
         state.add_demands(demands)
-        rows = [row for plan in state.plans().values() for row in plan.feeds]
-    return rows, streams_sample_rate(stream for stream, _ in rows)
+        classes = state.classes()
+    return classes, classes_sample_rate(classes)
 
 
 def compare(
@@ -246,14 +267,15 @@ def compare(
 
     results = []
     for mode in MODE_ORDER:
-        rows, rate = layouts[mode]
-        report = sim_run(rows, demands, sim_cfg)
+        classes, rate = layouts[mode]
+        report = sim_run(classes, demands, sim_cfg)
+        streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
         bytes_per_sec = report.bytes_sent * 1000.0 / sim_cfg.horizon_ms
         gross = power.predict(model, float(rate))
         saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
         pct = saved / gross * 100.0 if saved else 0.0
         results.append(SweepRow(
-            spec.redundancy_fraction, mode, len(rows), float(rate), bytes_per_sec, gross, saved, pct
+            spec.redundancy_fraction, mode, streams, float(rate), bytes_per_sec, gross, saved, pct
         ))
     return ComparisonReport(tuple(results))
 

@@ -1,19 +1,22 @@
 """Deterministic virtual-clock simulation of KPI report traffic.
 
-Input rows pair each stream with the xApps it feeds (``plan.feeds``).
-Every stream emits at t = 0, T, 2T, ... below the horizon, all
-phase-aligned at t = 0. Each subscribed xApp consumes at its own
-requested period and records the age of the newest sample available
-from its assigned stream at every consumer tick. Message and byte
-accounting follows the configured batching rule.
+The input layout is a list of classes (:class:`~ricmerge.merge.PlanClass`):
+each is a fold (stream periods, and the ranks each stream feeds) plus the
+(node, KPI, xApps in rank order) groups that share it. Every stream emits
+at t = 0, T, 2T, ... below the horizon, all phase-aligned at t = 0. Each
+subscribed xApp consumes at its own requested period and records the age
+of the newest sample available from its assigned stream at every
+consumer tick. Message and byte accounting follows the configured
+batching rule.
 
 All emission and consumption instants are known up front, so every
-total is computed in closed form once per distinct period (or node
-period set) rather than tick by tick; counts are exact for any horizon
-and reports are byte-identical across runs. ``run`` walks the rows once
-(checks, sample counts, each node's periods) and the demands once
-(service check, staleness); its maps keep input order and ``to_json``
-sorts them.
+total is computed in closed form once per class, distinct period (or
+node period set) rather than tick by tick; counts are exact for any
+horizon and reports are byte-identical across runs. ``run`` walks the
+classes once (horizon check and samples per class; the served-twice
+check and each node's periods per group) and the demands once (service
+check, staleness). The per-stream sample counts are derived from the
+layout when first read; ``to_json`` sorts every map.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
-from .merge import Feed, StreamSpec
+from .merge import PlanClass, StreamSpec
 
 
 class Batching(str, Enum):
@@ -57,7 +61,22 @@ class SimReport:
     samples_sent: int
     bytes_sent: int
     per_xapp_max_staleness: dict[XAppId, int] = field(default_factory=dict)
-    per_stream_sample_counts: dict[StreamSpec, int] = field(default_factory=dict)
+    # The layout and horizon that ``per_stream_sample_counts`` derives from.
+    layout: Sequence[PlanClass] = field(default=(), repr=False, compare=False)
+    horizon_ms: int = field(default=1, repr=False, compare=False)
+
+    @cached_property
+    def per_stream_sample_counts(self) -> dict[StreamSpec, int]:
+        """Samples per stream, built on first read; exact-duplicate streams
+        (several groups, one spec) accumulate."""
+        counts: dict[StreamSpec, int] = {}
+        for fold, groups in self.layout:
+            ticks = [(period, _ticks(period, self.horizon_ms)) for period in fold.periods]
+            for node, kpi, _ in groups:
+                for period, count in ticks:
+                    stream = StreamSpec(node, kpi, period)
+                    counts[stream] = counts.get(stream, 0) + count
+        return counts
 
     def to_json(self) -> str:
         """Stable JSON rendering for golden-file comparison.
@@ -132,35 +151,32 @@ def _worst_age(sample_period_ms: int, consume_period_ms: int, horizon_ms: int) -
 
 
 def run(
-    rows: Iterable[Feed],
+    classes: Iterable[PlanClass],
     demands: Iterable[KpiDemand],
     cfg: SimConfig,
 ) -> SimReport:
     horizon = cfg.horizon_ms
-    counts: dict[StreamSpec, int] = {}
+    layout = list(classes)
     samples = 0
-    ticks_per_period: dict[int, int] = {}
     node_periods: dict[E2NodeId, set[int]] = {}
-    served: dict[tuple[E2NodeId, KpiId, XAppId], StreamSpec] = {}
-    for stream, xapps in rows:
-        period = stream.period_ms
-        if period > horizon:
+    # The period of the stream serving each (node, KPI, xApp).
+    served: dict[tuple[E2NodeId, KpiId, XAppId], int] = {}
+    for (periods, feeds), groups in layout:
+        longest = max(periods)
+        if longest > horizon:
+            node, kpi, _ = groups[0]
             raise ValueError(
-                f"horizon {horizon} ms shorter than stream period "
-                f"{stream.period_ms} ms ({stream.node}:{stream.kpi})"
+                f"horizon {horizon} ms shorter than stream period {longest} ms ({node}:{kpi})"
             )
-        ticks = ticks_per_period.get(period)
-        if ticks is None:
-            ticks = ticks_per_period[period] = _ticks(period, horizon)
-        # Exact-duplicate streams (several plans, one spec) accumulate.
-        counts[stream] = counts.get(stream, 0) + ticks
-        samples += ticks
-        node_periods.setdefault(stream.node, set()).add(period)
-        for xapp in xapps:
-            key = (stream.node, stream.kpi, xapp)
-            if key in served:
-                raise ValueError(f"xApp {xapp} served twice for {key[:2]}")
-            served[key] = stream
+        samples += len(groups) * sum(_ticks(period, horizon) for period in periods)
+        ranks = [(rank, period) for period, fed in zip(periods, feeds) for rank in fed]
+        for node, kpi, xapps in groups:
+            node_periods.setdefault(node, set()).update(periods)
+            for rank, period in ranks:
+                key = (node, kpi, xapps[rank])
+                if key in served:
+                    raise ValueError(f"xApp {key[2]} served twice for {key[:2]}")
+                served[key] = period
 
     # Consumption: each xApp ticks on its own requested grid and sees the
     # newest sample from its assigned stream. t = 0 alignment makes the
@@ -168,20 +184,20 @@ def run(
     staleness: dict[XAppId, int] = {}
     worst_ages: dict[tuple[int, int], int] = {}
     for demand in demands:
-        stream = served.get((demand.node, demand.kpi, demand.xapp))
-        if stream is None:
+        period = served.get((demand.node, demand.kpi, demand.xapp))
+        if period is None:
             raise ValueError(
                 f"demand not served by any plan: xApp {demand.xapp}, "
                 f"node {demand.node}, KPI {demand.kpi!r}"
             )
-        periods = (stream.period_ms, demand.period_ms)
+        periods = (period, demand.period_ms)
         age = worst_ages.get(periods)
         if age is None:
             age = worst_ages[periods] = _worst_age(*periods, horizon)
         if age >= staleness.get(demand.xapp, 0):
             staleness[demand.xapp] = age
 
-    report = SimReport(0, samples, 0, staleness, counts)
+    report = SimReport(0, samples, 0, staleness, layout, horizon)
     if cfg.batching is Batching.PER_STREAM:
         report.messages_sent = report.samples_sent
         report.bytes_sent = report.samples_sent * (cfg.header_bytes + cfg.bytes_per_sample)

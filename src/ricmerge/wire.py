@@ -728,15 +728,24 @@ class XAppClient:
             self._reader.join(timeout=5)
 
     def subscribe(self, node: int, items: tuple[SubscriptionItem, ...]) -> SubscribeReply:
+        """Send one subscribe and wait for its reply.
+
+        Raises ``ConnectionError`` at once when the subscribe cannot be sent.
+        On ``TimeoutError`` the connection is closed: whether the broker
+        applied the subscribe is unknown, and a late reply must not answer
+        a later call.
+        """
         if self._peer is None:
             raise RuntimeError("not connected")
-        self._peer.send(Subscribe(self.xapp_id, node, items))
+        if not self._peer.send(Subscribe(self.xapp_id, node, items)):
+            raise ConnectionError("subscribe not sent: connection to broker lost")
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         with self._reply_ready:
             while not self._replies:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    raise TimeoutError("no subscription reply from broker")
+                    self._peer.close()
+                    raise TimeoutError("no subscription reply from broker; connection closed")
                 self._reply_ready.wait(remaining)
             return self._replies.pop(0)
 

@@ -1,6 +1,7 @@
 """Test-wide settings: hypothesis draws the same examples on every run, and
 no live-mode thread outlives the test that started it. Also a stand-in
-broker that answers one node's setup request as a test tells it to."""
+broker that answers one node's setup request as a test tells it to, and
+a log of the transmission plans a test constructs."""
 
 import socket
 import threading
@@ -9,6 +10,7 @@ import time
 import pytest
 from hypothesis import settings
 
+from ricmerge.merge import TransmissionPlan
 from ricmerge.wire import read_frame
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -83,3 +85,18 @@ def setup_replier():
     yield make
     for replier in made:
         replier.close()
+
+
+@pytest.fixture
+def plans_built(monkeypatch):
+    """The :class:`TransmissionPlan` objects constructed during the test, in
+    order, counted through the one validating constructor."""
+    built = []
+    validate = TransmissionPlan.__post_init__
+
+    def counted(plan):
+        validate(plan)
+        built.append(plan)
+
+    monkeypatch.setattr(TransmissionPlan, "__post_init__", counted)
+    return built

@@ -18,9 +18,12 @@ from ricmerge.e2model import (
     decompose,
 )
 from ricmerge.merge import (
+    ChangeAction,
     DecisionKind,
+    Fold,
     MergeState,
-    StreamSpec,
+    PlanClass,
+    StreamChange,
     decide_pair,
     max_staleness,
     sample_counts,
@@ -106,13 +109,15 @@ def test_criterion_2_power_projections():
 
 
 def uniform_layout(nodes, kpis, period=10):
-    rows, demands = [], []
+    """xApp 0 on every KPI of every node at one period: one class of
+    one-stream groups, and the demands."""
+    groups, demands = [], []
     for node in range(nodes):
         for k in range(kpis):
             kpi = f"KPI{k:04d}"
-            rows.append((StreamSpec(node, kpi, period), (0,)))
+            groups.append((node, kpi, (0,)))
             demands.append(KpiDemand(0, node, kpi, period))
-    return rows, demands
+    return [PlanClass(Fold((period,), ((0,),)), groups)], demands
 
 
 def bytes_per_sec(nodes, kpis):
@@ -205,7 +210,7 @@ def test_criterion_6_branch_coverage():
     plan = state.plan_for(0, "a")
     assert [s.period_ms for s in plan.streams] == [10]
     demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15, 6)]
-    report = sim_run(plan.feeds, demands, SimConfig(horizon_ms=300))
+    report = sim_run(state.classes(), demands, SimConfig(horizon_ms=300))
     assert report.per_xapp_max_staleness[2] == 5
     assert report.per_xapp_max_staleness[2] < 6
     print(
@@ -227,6 +232,16 @@ def test_criterion_7_whole_request_baseline_gap():
         f"{whole.saved_watts:.1f} W under whole-request hashing vs "
         f"{merged.saved_watts:.2f} W (= ideal) under per-KPI merging"
     )
+
+
+def plan_edit(old, new):
+    """The edit between two plans of one group, read from their streams:
+    the streams that vanished, then the new ones, each in plan order."""
+    before = old.streams if old else ()
+    after = new.streams if new else ()
+    return [StreamChange(ChangeAction.REMOVED, s) for s in before if s not in after] + [
+        StreamChange(ChangeAction.ADDED, s) for s in after if s not in before
+    ]
 
 
 def test_criterion_8_merge_engine_properties():
@@ -256,17 +271,19 @@ def test_criterion_8_merge_engine_properties():
             KpiDemand(x, 0, "a", rng.randint(1, 24), rng.choice([None, rng.randint(1, 16)]))
             for x in range(rng.randint(1, 5))
         ]
-        forward, shuffled = MergeState(), MergeState()
-        for d in demands:
-            forward.add_demand(d)
         order = demands[:]
         rng.shuffle(order)
-        for d in order:
-            shuffled.add_demand(d)
+        forward, shuffled = MergeState(), MergeState()
+        for state, sequence in ((forward, demands), (shuffled, order)):
+            for d in sequence:
+                before = state.plan_for(0, "a")
+                changes = state.add_demand(d)
+                assert changes == plan_edit(before, state.plan_for(0, "a")), sequence
         assert forward.plan_for(0, "a") == shuffled.plan_for(0, "a")
     print(
         f"\n[PASS] criterion 8: idempotent resubscription, remove-then-add restore, "
-        f"and insertion-order insensitivity over {cases} randomized demand sets"
+        f"and insertion-order insensitivity over {cases} randomized demand sets, "
+        f"each add's change list the edit between the plans around it"
     )
 
 

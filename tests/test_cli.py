@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from ricmerge import cli, wire
+from ricmerge import cli, power, scenario, wire
 from ricmerge.cli import main
+from ricmerge.merge import MergeState
 from ricmerge.scenario import ConfigError, SweepAxis
 
 REPO = Path(__file__).resolve().parent.parent
@@ -93,6 +95,58 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "x.cfg", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestTraceHooks:
+    """The benchmark's traced run rebinds these attributes to time each
+    layer; one that stops being called makes its metric read 0."""
+
+    def test_run_calls_every_traced_hook(self, capsys, monkeypatch, plans_built):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        hooks = [
+            (scenario, "build"),
+            (scenario, "decompose"),
+            (scenario, "request_fingerprint"),
+            (scenario, "rows_to_csv"),
+            (power, "predict"),
+            (MergeState, "add_demands"),
+        ]
+        for owner, name in hooks:
+            count(owner, name)
+        # The traced run names each sim call's mode by the identity of the
+        # layout it gets, so it must be the object the layout returned first.
+        layouts, simulated = [], []
+        layout, sim = scenario._mode_layout, scenario.sim_run
+
+        def traced_layout(*args):
+            result = layout(*args)
+            layouts.append(result[0])
+            return result
+
+        def traced_sim(classes, *args):
+            simulated.append(classes)
+            return sim(classes, *args)
+
+        monkeypatch.setattr(scenario, "_mode_layout", traced_layout)
+        monkeypatch.setattr(scenario, "sim_run", traced_sim)
+        code, out, _ = run_cli(capsys, "run", REPO / "configs" / "small.cfg")
+        assert code == 0
+        assert out == (GOLDEN / "run_small.csv").read_text()
+        assert [name for _, name in hooks if not calls[name]] == []
+        assert calls["add_demands"] == 1
+        assert len(plans_built) >= 1
+        assert len(layouts) == len(simulated) == 3
+        assert all(got is made for got, made in zip(simulated, layouts))
 
 
 class TestSweep:

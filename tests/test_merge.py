@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -11,17 +12,20 @@ from ricmerge.merge import (
     ChangeAction,
     DecisionKind,
     DuplicateDemandError,
+    Fold,
     MergeDecision,
     MergeState,
+    PlanClass,
     SampleCounts,
+    StreamChange,
     StreamSpec,
     TransmissionPlan,
     UnknownDemandError,
     _Stream,
+    classes_sample_rate,
     decide_pair,
     max_staleness,
     sample_counts,
-    streams_sample_rate,
 )
 from ricmerge.sim import staleness_oracle
 
@@ -252,6 +256,28 @@ class TestMergeState:
         state.add_demand(demand(2, 15))
         assert float(state.total_sample_rate()) == pytest.approx(166.67, abs=0.01)
 
+    def test_plan_for_is_kept_until_the_group_changes(self, plans_built):
+        state = MergeState()
+        state.add_demands([demand(1, 10), demand(2, 15, kpi="b"), demand(3, 10, kpi="c")])
+        # One plan per new shape validates it; "c" shares the shape of "a".
+        assert [p.streams[0].kpi for p in plans_built] == ["a", "b"]
+        plan_a, plan_c = state.plan_for(0, "a"), state.plan_for(0, "c")
+        assert plans_built[0] is plan_a and plans_built[2] is plan_c
+        assert state.plan_for(0, "c") is plan_c
+        assert state.plans() == {(0, "a"): plan_a, (0, "b"): plans_built[1], (0, "c"): plan_c}
+        assert len(plans_built) == 3
+        state.add_demand(demand(4, 30, kpi="b"))
+        assert state.add_demand(demand(1, 10)) == []
+        assert state.plan_for(0, "a") is plan_a and state.plan_for(0, "c") is plan_c
+        state.add_demand(demand(5, 20))
+        grown = state.plan_for(0, "a")
+        assert grown is not plan_a and grown.fanout == {1: 0, 5: 0}
+        state.remove_demand(5, 0, "a")
+        restored = state.plan_for(0, "a")
+        assert restored is not grown and restored == plan_a
+        state.remove_demand(3, 0, "c")
+        assert state.plan_for(0, "c") is None and (0, "c") not in state.plans()
+
     def test_plans_are_insertion_order_insensitive(self):
         rng = random.Random(7)
         for _ in range(300):
@@ -362,8 +388,10 @@ class TestTransmissionPlan:
             assert all(plan.stream_for(x) == stream for x in xapps)
 
     def test_sample_rate_helper(self):
-        streams = [StreamSpec(0, "a", 10), StreamSpec(0, "b", 10), StreamSpec(1, "a", 4)]
-        assert streams_sample_rate(streams) == 450
+        one_stream = PlanClass(Fold((10,), ((0,),)), [(0, "a", (1,)), (0, "b", (1,))])
+        two_streams = PlanClass(Fold((4, 6), ((1,), (0,))), [(1, "a", (1, 2))])
+        # 2 x 100 + 250 + 1000 / 6 samples per second
+        assert classes_sample_rate([one_stream, two_streams]) == Fraction(1850, 3)
 
 
 # Reference engine: the fold and the pairwise rule as they stood when the
@@ -496,6 +524,16 @@ def churn_ops(rng):
     return ops
 
 
+def reference_diff(old, new):
+    """The plan edit between two plans of one group, read from their streams:
+    vanished streams, then new ones, each in plan order."""
+    before = old.streams if old else ()
+    after = new.streams if new else ()
+    return [StreamChange(ChangeAction.REMOVED, s) for s in before if s not in after] + [
+        StreamChange(ChangeAction.ADDED, s) for s in after if s not in before
+    ]
+
+
 def replay(ops):
     """StreamChange list and all plans after each op."""
     state, trace = MergeState(), []
@@ -526,8 +564,11 @@ def test_engine_matches_reference_fold():
     for ops, want in zip(corpus, expected):
         got = replay(ops)
         assert got == want, ops
-        requested = {}
+        requested, before = {}, {}
         for (action, d), (_, changes, plans) in zip(ops, got):
+            key = (d.node, d.kpi)
+            assert changes == reference_diff(before.get(key), plans.get(key)), ops
+            before = plans
             if action == "add":
                 requested[d.xapp, d.kpi] = d.period_ms
             else:
@@ -573,7 +614,7 @@ def fold_shape(demands):
     return tuple((d.period_ms, d.sensitivity_ms) for d in ordered)
 
 
-def test_bulk_insert_matches_one_group_per_state():
+def test_bulk_insert_matches_one_group_per_state(plans_built):
     """Groups that share a shape reuse one fold per bulk insert; plans,
     feeds and changes equal inserting each group alone, and each fan-out
     lists xApps in the order they joined the reference fold's streams."""
@@ -589,23 +630,27 @@ def test_bulk_insert_matches_one_group_per_state():
     for half in halves:
         mixed = [d for demands in half.values() for d in demands]
         rng.shuffle(mixed)
+        built = len(plans_built)
         with mock.patch.object(merge, "_build_streams", wraps=merge._build_streams) as fold:
             got_changes.append(bulk.add_demands(mixed))
         touched = [key for key, demands in half.items() if demands]
         for key in touched:
             inserted[key] += half[key]
-        # One fold per distinct shape among the groups this insert touched.
+        # One fold, validated by one plan, per distinct shape among the
+        # groups this insert touched.
         assert fold.call_count == len({fold_shape(inserted[key]) for key in touched})
+        assert len(plans_built) - built == fold.call_count
         folds += fold.call_count
     assert folds < len(by_group)
 
-    want_changes = ([], [])
+    want_changes, want_plans = ([], []), {}
     gcd_streams = tolerated = divisible = split = 0
     for key in sorted(by_group):
         alone = MergeState()
         for step, half in enumerate(halves):
             want_changes[step].extend(alone.add_demands(half[key]))
         want, got = alone.plan_for(*key), bulk.plan_for(*key)
+        want_plans[key] = want
         assert got == want, key
         assert got.feeds == want.feeds
         streams = reference_build_streams(by_group[key])
@@ -620,6 +665,6 @@ def test_bulk_insert_matches_one_group_per_state():
             tolerated += period % stream_period != 0
             divisible += period != stream_period and period % stream_period == 0
     assert got_changes == list(want_changes)
-    assert bulk.plans().keys() == by_group.keys()
+    assert bulk.plans() == want_plans
     # The corpus must reach every branch of the rule.
     assert gcd_streams > 20 and tolerated > 20 and divisible > 20 and split > 20

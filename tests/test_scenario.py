@@ -151,6 +151,29 @@ class TestCompare:
         ideal = MODEL.watts_per_sample_rate * 0.9 * (10 * 20 * 100)
         assert merge.saved_watts == pytest.approx(ideal, rel=1e-12)
 
+    def test_one_plan_per_distinct_merged_shape(self, plans_built):
+        """Only the merge engine builds plans, one per distinct (period,
+        tolerance) shape of a (node, KPI) group, to validate its fold."""
+        spec = ScenarioSpec(
+            12,
+            15,
+            redundancy_fraction=0.6,
+            period_mix=((10, 0.4), (15, 0.3), (40, 0.3)),
+            sensitivity=SensitivityPolicy(per_xapp=((1, 8),)),
+            seed=4,
+        )
+        groups = {}
+        for d in sorted(
+            (d for r in build(spec) for d in decompose(r)), key=lambda d: (d.period_ms, d.xapp)
+        ):
+            groups.setdefault((d.node, d.kpi), []).append((d.period_ms, d.sensitivity_ms))
+        shapes = {tuple(shape) for shape in groups.values()}
+        assert len(shapes) == 6  # three periods, each alone or duplicated
+        compare(spec, MODEL, SIM)
+        assert len(plans_built) == len(shapes)
+        built_for = {(p.streams[0].node, p.streams[0].kpi) for p in plans_built}
+        assert {tuple(groups[key]) for key in built_for} == shapes
+
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)
         a = rows_to_csv(compare(spec, MODEL, SIM).results)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricmerge.e2model import KpiDemand
-from ricmerge.merge import MergeState, StreamSpec, TransmissionPlan, sample_counts
+from ricmerge.merge import (
+    Fold,
+    MergeState,
+    PlanClass,
+    StreamSpec,
+    TransmissionPlan,
+    sample_counts,
+)
 from ricmerge.sim import (
     Batching,
     SimConfig,
@@ -16,9 +23,9 @@ from ricmerge.sim import (
 
 
 def reference_run(plans, demands, cfg):
-    """Tick-by-tick reference for ``run``, over plans rather than stream
-    rows: walks every stream tick and every consumer tick below the
-    horizon, O(streams x horizon / period)."""
+    """Tick-by-tick reference for ``run``, over plans rather than classes:
+    walks every stream tick and every consumer tick below the horizon,
+    O(streams x horizon / period)."""
     plans = list(plans)
     served = {}
     for plan in plans:
@@ -72,21 +79,41 @@ def single_plan(node, kpi, period, xapps):
     return TransmissionPlan((StreamSpec(node, kpi, period),), {x: 0 for x in xapps})
 
 
-def feeds(plans):
-    """The stream rows ``run`` takes, read from each plan's ``feeds``."""
-    return [row for plan in plans for row in plan.feeds]
+def plan_classes(plans):
+    """Each plan as a class of one group, its xApps ranked in fan-out order."""
+    classes = []
+    for plan in plans:
+        xapps = tuple(plan.fanout)
+        feeds = tuple(
+            tuple(r for r, x in enumerate(xapps) if plan.fanout[x] == i)
+            for i in range(len(plan.streams))
+        )
+        periods = tuple(s.period_ms for s in plan.streams)
+        first = plan.streams[0]
+        classes.append(PlanClass(Fold(periods, feeds), [(first.node, first.kpi, xapps)]))
+    return classes
+
+
+def demand_classes(demands):
+    """One stream per demand, as the no-dedup mode lays them out: one class
+    per period."""
+    periods = sorted({d.period_ms for d in demands})
+    return [
+        PlanClass(
+            Fold((p,), ((0,),)),
+            [(d.node, d.kpi, (d.xapp,)) for d in demands if d.period_ms == p],
+        )
+        for p in periods
+    ]
 
 
 def uniform_setup(nodes, kpis, period=10):
     """One xApp subscribing every KPI of every node at one period, as
-    stream rows and demands."""
-    plans, demands = [], []
-    for node in range(nodes):
-        for k in range(kpis):
-            kpi = f"KPI{k:04d}"
-            plans.append(single_plan(node, kpi, period, [0]))
-            demands.append(KpiDemand(0, node, kpi, period))
-    return feeds(plans), demands
+    classes and demands."""
+    demands = [
+        KpiDemand(0, node, f"KPI{k:04d}", period) for node in range(nodes) for k in range(kpis)
+    ]
+    return demand_classes(demands), demands
 
 
 class TestRun:
@@ -110,7 +137,7 @@ class TestRun:
             )
         ]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15)]
-        report = run(feeds(plans), demands, SimConfig(horizon_ms=30))
+        report = run(plan_classes(plans), demands, SimConfig(horizon_ms=30))
         assert report.per_xapp_max_staleness == {1: 0, 2: 0}
 
     def test_horizon_shorter_than_period_rejected(self):
@@ -124,6 +151,11 @@ class TestRun:
         with pytest.raises(ValueError):
             run(rows, orphan, SimConfig(horizon_ms=100))
 
+    def test_xapp_served_twice_rejected(self):
+        classes = demand_classes([KpiDemand(1, 0, "a", 10), KpiDemand(1, 0, "a", 20)])
+        with pytest.raises(ValueError, match="served twice"):
+            run(classes, [KpiDemand(1, 0, "a", 10)], SimConfig(horizon_ms=100))
+
     def test_tolerated_slow_consumer_staleness_measured(self):
         state = MergeState()
         state.add_demand(KpiDemand(1, 0, "a", 10))
@@ -131,7 +163,7 @@ class TestRun:
         plan = state.plan_for(0, "a")
         assert [s.period_ms for s in plan.streams] == [10]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15, 6)]
-        report = run(plan.feeds, demands, SimConfig(horizon_ms=300))
+        report = run(state.classes(), demands, SimConfig(horizon_ms=300))
         assert report.per_xapp_max_staleness[2] == 5
         assert report.per_xapp_max_staleness[2] < 6
         assert report.per_xapp_max_staleness[1] == 0
@@ -157,7 +189,7 @@ class TestRun:
         # totals must count both, and the per-stream map must add up.
         plans = [single_plan(0, "a", 10, [1]), single_plan(0, "a", 10, [2])]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 10)]
-        report = run(feeds(plans), demands, SimConfig(horizon_ms=100))
+        report = run(plan_classes(plans), demands, SimConfig(horizon_ms=100))
         assert report.samples_sent == 20
         assert report.per_stream_sample_counts[StreamSpec(0, "a", 10)] == 20
         assert sum(report.per_stream_sample_counts.values()) == report.samples_sent
@@ -186,7 +218,7 @@ class TestRun:
             )
         ]
         demands = [KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15)]
-        report = run(feeds(plans), demands, SimConfig(horizon_ms=30, header_bytes=1))
+        report = run(plan_classes(plans), demands, SimConfig(horizon_ms=30, header_bytes=1))
         # instants 0,10,15,20 with 0 shared by both streams
         assert report.messages_sent == 4
         assert report.samples_sent == 5
@@ -221,7 +253,7 @@ def test_tolerated_merge_never_exceeds_declared_tolerance(ti, tj, tolerance, mul
         return  # not the tolerance-gated sharing path
     demands = [KpiDemand(1, 0, "a", ti), KpiDemand(2, 0, "a", tj, tolerance)]
     horizon = math.lcm(ti, tj) * multiple
-    report = run(plan.feeds, demands, SimConfig(horizon_ms=horizon))
+    report = run(state.classes(), demands, SimConfig(horizon_ms=horizon))
     assert report.per_xapp_max_staleness[2] < tolerance
 
 
@@ -239,7 +271,7 @@ def test_counts_over_one_hyperperiod_match_pairwise_counts(ti, tj):
         KpiDemand(1, 1, "m", ti),
         KpiDemand(1, 2, "m", tj),
     ]
-    report = run(feeds(plans), demands, SimConfig(horizon_ms=hyper))
+    report = run(plan_classes(plans), demands, SimConfig(horizon_ms=hyper))
     counts = sample_counts(ti, tj)
     assert report.per_stream_sample_counts[StreamSpec(0, "m", gcd)] == counts.merged
     assert report.per_stream_sample_counts[StreamSpec(1, "m", ti)] == counts.first
@@ -252,7 +284,8 @@ MAX_HORIZON = 5000
 @st.composite
 def layouts(draw):
     """Random demands over several nodes, KPIs and xApps, laid out either
-    by the merge engine or as one plan per demand (exact duplicates)."""
+    by the merge engine or as one stream per demand (exact duplicates):
+    as plans for the reference, and as classes for ``run``."""
     keys = draw(
         st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from("abc")),
@@ -270,10 +303,9 @@ def layouts(draw):
     if draw(st.booleans()):
         state = MergeState()
         state.add_demands(demands)
-        plans = list(state.plans().values())
-    else:
-        plans = [single_plan(d.node, d.kpi, d.period_ms, [d.xapp]) for d in demands]
-    return plans, demands
+        return list(state.plans().values()), state.classes(), demands
+    plans = [single_plan(d.node, d.kpi, d.period_ms, [d.xapp]) for d in demands]
+    return plans, demand_classes(demands), demands
 
 
 @st.composite
@@ -296,7 +328,7 @@ def horizons(draw, plans, demands):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_run_matches_tick_reference(data):
-    plans, demands = data.draw(layouts())
+    plans, classes, demands = data.draw(layouts())
     cfg = SimConfig(
         horizon_ms=data.draw(horizons(plans, demands)),
         header_bytes=data.draw(st.integers(0, 200)),
@@ -304,7 +336,7 @@ def test_run_matches_tick_reference(data):
         batching=data.draw(st.sampled_from(Batching)),
     )
     expected = reference_run(plans, demands, cfg)
-    assert run(feeds(plans), demands, cfg).to_json() == expected.to_json()
+    assert run(classes, demands, cfg).to_json() == expected.to_json()
 
 
 def test_staleness_oracle_matches_closed_form():
@@ -323,7 +355,7 @@ class TestHyperperiodLongerThanHorizon:
         cfg = SimConfig(horizon_ms=1000)
         tracemalloc.start()
         try:
-            report = run(feeds(plans), demands, cfg)
+            report = run(plan_classes(plans), demands, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -336,7 +368,7 @@ class TestHyperperiodLongerThanHorizon:
         plans = [single_plan(0, "a", 997, [1])]
         demands = [KpiDemand(1, 0, "a", 991)]
         cfg = SimConfig(horizon_ms=1000)
-        report = run(feeds(plans), demands, cfg)
+        report = run(plan_classes(plans), demands, cfg)
         # consumer ticks 0 and 991 see the t = 0 sample only
         assert report.per_xapp_max_staleness == {1: 991}
         assert report.to_json() == reference_run(plans, demands, cfg).to_json()

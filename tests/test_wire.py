@@ -605,6 +605,45 @@ class TestLiveMode:
             client.connect()
         client.close()
 
+    def test_a_late_reply_answers_no_later_subscribe(self, monkeypatch):
+        """After a timed-out subscribe the client closes its connection, so
+        the reply that comes late is never taken as the next call's, and the
+        next subscribe fails at once because it cannot be sent."""
+        monkeypatch.setattr(wire, "REPLY_TIMEOUT_S", 0.1)
+        listener = socket.create_server(("127.0.0.1", 0))
+        replied = threading.Event()
+
+        def answer_late():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                read_frame(conn)
+                time.sleep(0.3)
+                try:
+                    conn.sendall(encode(SubscribeReply(3, False, "reply to the first")))
+                except OSError:
+                    pass  # the client may already have gone
+                replied.set()
+
+        thread = threading.Thread(target=answer_late, name="late-replier")
+        thread.start()
+        client = XAppClient(*listener.getsockname(), 1)
+        try:
+            client.connect()
+            with pytest.raises(TimeoutError, match="connection closed"):
+                client.subscribe(3, (SubscriptionItem("a", 10),))
+            assert replied.wait(5)
+            monkeypatch.setattr(wire, "REPLY_TIMEOUT_S", 5.0)
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="subscribe not sent"):
+                client.subscribe(3, (SubscriptionItem("b", 10),))
+            assert time.monotonic() - started < 1
+        finally:
+            client.close()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+
     @pytest.mark.parametrize(
         "reply, cause",
         [
