@@ -6,6 +6,8 @@ roles ``broker``, ``node``, ``xapp``, run until Ctrl-C or ``--duration``.
 Results go to stdout or ``--out`` as CSV or JSON, byte-identical for
 identical invocations. Exit code 2 means a bad config, input or output
 file, 1 a live role that could not listen, connect, set up or subscribe.
+Only the live roles import ``wire``, so the batch commands never load
+the socket, thread and broker code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import scenario, wire
+from . import scenario
 from .power import MeasurementPoint, calibrate
 from .scenario import ConfigError, SweepAxis
 
@@ -148,6 +150,8 @@ def _run(start, stop, duration_s: float | None = None) -> None:
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
+    from . import wire
+
     model = scenario.load_config(args.config)[1] if args.config else None
     broker = wire.Broker(*_parse_address(args.listen), model, stats_interval_s=1.0)
     _run(broker.start, broker.stop)
@@ -155,12 +159,16 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
+    from . import wire
+
     node = wire.NodeEmulator(*_parse_address(args.broker), args.node_id)
     _run(node.start, node.stop)
     return 0
 
 
 def _cmd_xapp(args: argparse.Namespace) -> int:
+    from . import wire
+
     host, port = _parse_address(args.broker)
     xapp, node, items = scenario.load_subscribe(args.subscribe)
     client = wire.XAppClient(host, port, xapp)

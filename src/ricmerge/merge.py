@@ -33,9 +33,13 @@ changes. :meth:`MergeState.classes` hands the simulator each fold with
 the groups that share it, and the live broker keeps the engine's plans
 as its routing snapshot and fans indications out through ``feeds``.
 
-Every mutation returns the plan edit it caused as :class:`StreamChange`
-items: the streams the node must stop (REMOVED), then those it must start
-(ADDED). A retimed stream is one of each.
+Every mutation returns the plan edit it caused as a :class:`PlanEdit`, a
+sequence of :class:`StreamChange` items: for each touched group in turn,
+the streams the node must stop (REMOVED), then those it must start
+(ADDED). A retimed stream is one of each. The edit keeps only each
+group's stream periods before and after, and builds its changes when
+first read, so a caller that drops it, as ``scenario.compare`` does,
+builds none.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
 
@@ -428,6 +432,47 @@ def _diff_periods(
     ] + [StreamChange(ChangeAction.ADDED, StreamSpec(*key, p)) for p in after if p not in before]
 
 
+# One touched group: its key and its stream periods before and after.
+_Touch = tuple[_Key, tuple[int, ...], tuple[int, ...]]
+
+
+class PlanEdit(Sequence[StreamChange]):
+    """The plan edit of one mutation: each touched group's changes, from
+    :func:`_diff_periods`, in the order the groups were touched.
+
+    Kept as the touched groups' periods; the changes are built when the
+    edit is first read. It equals any sequence of the same changes.
+    """
+
+    __slots__ = ("_touched", "_changes")
+
+    def __init__(self, touched: list[_Touch]) -> None:
+        self._touched = touched
+        self._changes: list[StreamChange] | None = None
+
+    def _built(self) -> list[StreamChange]:
+        if self._changes is None:
+            self._changes = [c for touch in self._touched for c in _diff_periods(*touch)]
+        return self._changes
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[StreamChange]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._built() == list(other)
+
+    def __repr__(self) -> str:
+        return f"PlanEdit({self._built()!r})"
+
+
 class MergeState:
     """Active demands and derived plans for all (node, KPI) pairs.
 
@@ -476,14 +521,15 @@ class MergeState:
     def demands(self) -> list[KpiDemand]:
         return [d for group in self._demands.values() for d in group.values()]
 
-    def add_demand(self, demand: KpiDemand) -> list[StreamChange]:
+    def add_demand(self, demand: KpiDemand) -> PlanEdit:
         return self.add_demands([demand])
 
-    def add_demands(self, demands: Iterable[KpiDemand]) -> list[StreamChange]:
+    def add_demands(self, demands: Iterable[KpiDemand]) -> PlanEdit:
         """Insert demands atomically, recomputing each touched group once.
 
         Either every demand is admitted (exactly identical re-submissions
-        are ignored) or the state is left untouched.
+        are ignored) or the state is left untouched. A group the state
+        does not hold yet keeps the checked pending dict as its own.
         """
         pending: dict[_Key, dict[XAppId, KpiDemand]] = {}
         for demand in demands:
@@ -499,17 +545,28 @@ class MergeState:
                     f"on node {demand.node}"
                 )
         for key, group in pending.items():
-            self._demands.setdefault(key, {}).update(group)
+            held = self._demands.setdefault(key, group)
+            if held is not group:
+                held.update(group)
         folds: dict[_Shape, Fold] = {}
-        changes = []
-        for key in sorted(pending):
-            changes.extend(self._recompute(key, folds))
-        return changes
+        return PlanEdit([self._recompute(key, folds) for key in sorted(pending)])
 
-    def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> list[StreamChange]:
-        key = (node, kpi)
+    def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> PlanEdit:
+        return PlanEdit([self._remove(xapp, (node, kpi))])
+
+    def remove_xapp(self, xapp: XAppId) -> PlanEdit:
+        """Drop every demand of one xApp (e.g. on disconnect)."""
+        keys = [k for k, g in self._demands.items() if xapp in g]
+        return PlanEdit([self._remove(xapp, key) for key in keys])
+
+    def total_sample_rate(self) -> Fraction:
+        """Aggregate samples per second over all planned streams."""
+        return classes_sample_rate(self.classes())
+
+    def _remove(self, xapp: XAppId, key: _Key) -> _Touch:
         group = self._demands.get(key, {})
         if xapp not in group:
+            node, kpi = key
             raise UnknownDemandError(
                 f"no active demand for xApp {xapp} on {kpi!r} at node {node}"
             )
@@ -518,19 +575,9 @@ class MergeState:
             del self._demands[key]
         return self._recompute(key, {})
 
-    def remove_xapp(self, xapp: XAppId) -> list[StreamChange]:
-        """Drop every demand of one xApp (e.g. on disconnect)."""
-        changes = []
-        for node, kpi in [k for k, g in self._demands.items() if xapp in g]:
-            changes.extend(self.remove_demand(xapp, node, kpi))
-        return changes
-
-    def total_sample_rate(self) -> Fraction:
-        """Aggregate samples per second over all planned streams."""
-        return classes_sample_rate(self.classes())
-
-    def _recompute(self, key: _Key, folds: dict[_Shape, Fold]) -> list[StreamChange]:
-        """Refold one group, reusing the shapes in ``folds``.
+    def _recompute(self, key: _Key, folds: dict[_Shape, Fold]) -> _Touch:
+        """Refold one group, reusing the shapes in ``folds``; returns its
+        periods before and after.
 
         The first group of a new shape validates its fold by building its
         plan through :class:`TransmissionPlan`, and keeps that plan.
@@ -541,9 +588,9 @@ class MergeState:
         demands = self._demands.get(key)
         if not demands:
             self._groups.pop(key, None)
-            return _diff_periods(key, before, ())
+            return key, before, ()
         fold, xapps, new_shape = _fold(demands.values(), folds)
         self._groups[key] = (fold, xapps)
         if new_shape:
             self._plans[key] = _plan(key, fold, xapps)
-        return _diff_periods(key, before, fold.periods)
+        return key, before, fold.periods

@@ -14,9 +14,11 @@ plus the (node, KPI) groups that share it, so the rate and the
 simulation cost what the distinct folds cost, and no per-group plan is
 built. The baseline modes send each stream on its own, one class per
 (period, number of xApps fed); the merged mode takes the engine's
-classes. ``sweep`` repeats that along one axis of ``SWEEP_AXES``, which
-names the scenario field each axis sets, its type and its default grid.
-``rows_to_csv`` and ``rows_to_json`` render either's rows.
+classes. One mode is laid out and simulated at a time, and only its
+rate, bytes sent and stream count are kept. ``sweep`` repeats that
+along one axis of ``SWEEP_AXES``, which names the scenario field each
+axis sets, its type and its default grid. ``rows_to_csv`` and
+``rows_to_json`` render either's rows.
 """
 
 from __future__ import annotations
@@ -244,10 +246,26 @@ def _mode_layout(
     return classes, classes_sample_rate(classes)
 
 
+def _measure(
+    mode: DedupMode,
+    requests: list[SubscriptionRequest],
+    demands: list[KpiDemand],
+    sim_cfg: SimConfig,
+) -> tuple[Fraction, int, int]:
+    """Lay one mode out and simulate it: its sample rate, bytes sent and
+    stream count. The classes and the sim report, which holds them, are
+    dropped on return."""
+    classes, rate = _mode_layout(mode, requests, demands)
+    report = sim_run(classes, demands, sim_cfg)
+    streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
+    return rate, report.bytes_sent, streams
+
+
 def compare(
     spec: ScenarioSpec, model: PowerModel, sim_cfg: SimConfig
 ) -> ComparisonReport:
-    """Run all three dedup modes over one generated demand set.
+    """Run all three dedup modes over one generated demand set, one mode
+    at a time: only one mode's classes are alive at once.
 
     Saved watts are relative to the no-dedup transmitted rate; the saved
     percentage is taken against the mode's own gross power, which for
@@ -256,8 +274,8 @@ def compare(
     requests = build(spec)
     demands = [d for r in requests for d in decompose(r)]
 
-    layouts = {m: _mode_layout(m, requests, demands) for m in MODE_ORDER}
-    rate_no_dedup, rate_whole, rate_merge = (layouts[m][1] for m in MODE_ORDER)
+    measured = [_measure(m, requests, demands, sim_cfg) for m in MODE_ORDER]
+    rate_no_dedup, rate_whole, rate_merge = (rate for rate, _, _ in measured)
     if not rate_merge <= rate_whole <= rate_no_dedup:
         raise RuntimeError(
             "sample rates out of order: per_kpi_merge "
@@ -266,11 +284,8 @@ def compare(
         )
 
     results = []
-    for mode in MODE_ORDER:
-        classes, rate = layouts[mode]
-        report = sim_run(classes, demands, sim_cfg)
-        streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
-        bytes_per_sec = report.bytes_sent * 1000.0 / sim_cfg.horizon_ms
+    for mode, (rate, bytes_sent, streams) in zip(MODE_ORDER, measured):
+        bytes_per_sec = bytes_sent * 1000.0 / sim_cfg.horizon_ms
         gross = power.predict(model, float(rate))
         saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
         pct = saved / gross * 100.0 if saved else 0.0

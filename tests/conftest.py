@@ -1,7 +1,7 @@
 """Test-wide settings: hypothesis draws the same examples on every run, and
 no live-mode thread outlives the test that started it. Also a stand-in
 broker that answers one node's setup request as a test tells it to, and
-a log of the transmission plans a test constructs."""
+logs of the plans, streams and stream changes a test constructs."""
 
 import socket
 import threading
@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import settings
 
-from ricmerge.merge import TransmissionPlan
+from ricmerge.merge import StreamChange, StreamSpec, TransmissionPlan
 from ricmerge.wire import read_frame
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -87,16 +87,34 @@ def setup_replier():
         replier.close()
 
 
+def _constructed(monkeypatch, cls, hook: str) -> list:
+    """The ``cls`` objects constructed from now on, in order, logged by
+    wrapping the constructor step ``hook``."""
+    built = []
+    original = getattr(cls, hook)
+
+    def counted(obj, *args, **kwargs):
+        original(obj, *args, **kwargs)
+        built.append(obj)
+
+    monkeypatch.setattr(cls, hook, counted)
+    return built
+
+
 @pytest.fixture
 def plans_built(monkeypatch):
     """The :class:`TransmissionPlan` objects constructed during the test, in
     order, counted through the one validating constructor."""
-    built = []
-    validate = TransmissionPlan.__post_init__
+    return _constructed(monkeypatch, TransmissionPlan, "__post_init__")
 
-    def counted(plan):
-        validate(plan)
-        built.append(plan)
 
-    monkeypatch.setattr(TransmissionPlan, "__post_init__", counted)
-    return built
+@pytest.fixture
+def specs_built(monkeypatch):
+    """The :class:`StreamSpec` objects constructed during the test, in order."""
+    return _constructed(monkeypatch, StreamSpec, "__post_init__")
+
+
+@pytest.fixture
+def changes_built(monkeypatch):
+    """The :class:`StreamChange` objects constructed during the test, in order."""
+    return _constructed(monkeypatch, StreamChange, "__init__")

@@ -96,6 +96,20 @@ class TestRun:
             main(["run", "x.cfg", "--bogus"])
         assert exc.value.code == 2
 
+    def test_importing_the_cli_leaves_wire_unloaded(self):
+        """Only the live roles import ``wire``; ``run`` and ``sweep`` never need it."""
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        probe = "import sys, ricmerge.cli; print('ricmerge.wire' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestTraceHooks:
     """The benchmark's traced run rebinds these attributes to time each
@@ -125,16 +139,19 @@ class TestTraceHooks:
             count(owner, name)
         # The traced run names each sim call's mode by the identity of the
         # layout it gets, so it must be the object the layout returned first.
-        layouts, simulated = [], []
+        # Each mode is laid out, then simulated, before the next one starts.
+        layouts, simulated, order = [], [], []
         layout, sim = scenario._mode_layout, scenario.sim_run
 
         def traced_layout(*args):
             result = layout(*args)
             layouts.append(result[0])
+            order.append("layout")
             return result
 
         def traced_sim(classes, *args):
             simulated.append(classes)
+            order.append("sim")
             return sim(classes, *args)
 
         monkeypatch.setattr(scenario, "_mode_layout", traced_layout)
@@ -147,6 +164,7 @@ class TestTraceHooks:
         assert len(plans_built) >= 1
         assert len(layouts) == len(simulated) == 3
         assert all(got is made for got, made in zip(simulated, layouts))
+        assert order == ["layout", "sim"] * 3
 
 
 class TestSweep:

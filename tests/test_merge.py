@@ -16,6 +16,7 @@ from ricmerge.merge import (
     MergeDecision,
     MergeState,
     PlanClass,
+    PlanEdit,
     SampleCounts,
     StreamChange,
     StreamSpec,
@@ -291,6 +292,65 @@ class TestMergeState:
             for d in reversed(demands):
                 backward.add_demand(d)
             assert forward.plan_for(0, "a") == backward.plan_for(0, "a")
+
+
+class TestPlanEdit:
+    def test_equals_the_equivalent_list(self):
+        state = MergeState()
+        state.add_demands([demand(1, 2), demand(2, 3)])
+        edit = state.add_demand(demand(3, 4))
+        want = [
+            StreamChange(ChangeAction.REMOVED, StreamSpec(0, "a", 2)),
+            StreamChange(ChangeAction.REMOVED, StreamSpec(0, "a", 3)),
+            StreamChange(ChangeAction.ADDED, StreamSpec(0, "a", 1)),
+        ]
+        assert isinstance(edit, PlanEdit)
+        assert edit == want and want == edit and edit == tuple(want)
+        assert edit != want[:2] and edit != want[::-1] and edit != "abc"
+        assert state.add_demand(demand(4, 8)) == []
+
+    def test_len_indexing_and_iteration_agree(self):
+        state = MergeState()
+        edit = state.add_demands([demand(3, 20, kpi="b"), demand(2, 15), demand(1, 10)])
+        listed = list(edit)
+        # Groups in key order, each group's streams ascending.
+        assert [(c.stream.kpi, c.stream.period_ms) for c in listed] == [
+            ("a", 10), ("a", 15), ("b", 20)
+        ]
+        assert list(edit) == listed
+        assert len(edit) == len(listed)
+        assert [edit[i] for i in range(len(edit))] == listed
+        assert edit[-1] is listed[-1] and edit[1:] == listed[1:]
+
+    def test_bulk_insert_builds_no_change_until_read(
+        self, plans_built, specs_built, changes_built
+    ):
+        state = MergeState()
+        edit = state.add_demands(
+            demand(xapp, period, node=node, kpi=kpi)
+            for node in range(50)
+            for kpi, periods in (("a", (10, 20)), ("b", (10, 15)))
+            for xapp, period in enumerate(periods)
+        )
+        # Only the plan validating each of the two shapes built streams.
+        assert len(plans_built) == 2
+        assert specs_built == [s for plan in plans_built for s in plan.streams]
+        assert changes_built == []
+        validating = len(specs_built)
+        assert len(edit) == 150
+        assert changes_built == list(edit) == list(edit)
+        assert [c.stream for c in changes_built] == specs_built[validating:]
+
+    def test_remove_xapp_edits_each_group_in_turn(self):
+        demands = [demand(x, p, kpi=k) for k in "ba" for x, p in ((1, 10), (2, 15))]
+        state, alone = MergeState(), MergeState()
+        state.add_demands(demands)
+        alone.add_demands(demands)
+        edit = state.remove_xapp(2)
+        # The groups in the order they were first inserted: "b", then "a".
+        assert edit == [*alone.remove_demand(2, 0, "b"), *alone.remove_demand(2, 0, "a")]
+        assert [c.action for c in edit] == [ChangeAction.REMOVED] * 2
+        assert state.plans() == alone.plans()
 
 
 demand_sets = st.lists(
