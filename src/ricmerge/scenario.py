@@ -15,10 +15,22 @@ simulation cost what the distinct folds cost, and no per-group plan is
 built. The baseline modes send each stream on its own, one class per
 (period, number of xApps fed); the merged mode takes the engine's
 classes. One mode is laid out and simulated at a time, and only its
-rate, bytes sent and stream count are kept. ``sweep`` repeats that
-along one axis of ``SWEEP_AXES``, which names the scenario field each
-axis sets, its type and its default grid. ``rows_to_csv`` and
-``rows_to_json`` render either's rows.
+rate, bytes sent and stream count are kept. ``compare`` is two steps:
+a tally measures a list of requests into each mode's exact totals, and
+pricing checks the rate order and turns the totals into rows.
+
+``sweep`` repeats that along one axis of ``SWEEP_AXES``, which names
+the scenario field each axis sets, its type and its default grid. A
+point whose requests are the previous point's followed by requests on
+nodes the previous point did not have tallies just those requests and
+adds the previous totals; any other point is tallied from scratch. The
+sum is exact: every kept figure is a sum over (node, KPI) groups or,
+for per-node messages, over nodes, and requests on disjoint nodes never
+share a stream (a request's fingerprint covers its node, and merge
+groups are keyed on (node, KPI)). So a nodes sweep at redundancy 0 pays
+only for the node each point adds. A redundant scenario lists its
+duplicates after every baseline request, so its points, and those of
+the KPI and redundancy axes, start from scratch. ``rows_to_csv`` and ``rows_to_json`` render either's rows.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from . import power
@@ -143,6 +156,10 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
 
     total = spec.nodes * spec.kpis_per_node
     wanted = round(spec.redundancy_fraction * total)
+    if wanted == 0:
+        # Nothing draws from ``rng`` after the duplicate pool's shuffle,
+        # so skipping it changes no output.
+        return requests
     # Prefer keeping one KPI per node out of the duplicate set so the
     # duplicating request stays a strict subset of the baseline one; the
     # reversed item order below keeps even a full-node duplicate from
@@ -261,21 +278,24 @@ def _measure(
     return rate, report.bytes_sent, streams
 
 
-def compare(
-    spec: ScenarioSpec, model: PowerModel, sim_cfg: SimConfig
-) -> ComparisonReport:
-    """Run all three dedup modes over one generated demand set, one mode
-    at a time: only one mode's classes are alive at once.
+# Each mode's exact sample rate, bytes sent and stream count, in MODE_ORDER.
+_Tally = list[tuple[Fraction, int, int]]
+_NO_TALLY: _Tally = [(Fraction(0), 0, 0)] * len(MODE_ORDER)
 
-    Saved watts are relative to the no-dedup transmitted rate; the saved
-    percentage is taken against the mode's own gross power, which for
-    the merged mode equals the deployment's duplicate-free power draw.
-    """
-    requests = build(spec)
+
+def _tally(requests: list[SubscriptionRequest], sim_cfg: SimConfig) -> _Tally:
+    """Measure every mode over ``requests``, one mode at a time: only one
+    mode's classes are alive at once."""
     demands = [d for r in requests for d in decompose(r)]
+    return [_measure(mode, requests, demands, sim_cfg) for mode in MODE_ORDER]
 
-    measured = [_measure(m, requests, demands, sim_cfg) for m in MODE_ORDER]
-    rate_no_dedup, rate_whole, rate_merge = (rate for rate, _, _ in measured)
+
+def _price(
+    tally: _Tally, sweep_value: float, model: PowerModel, sim_cfg: SimConfig
+) -> tuple[SweepRow, ...]:
+    """Check the rate order and price each mode's totals into a row keyed
+    by ``sweep_value``."""
+    rate_no_dedup, rate_whole, rate_merge = (rate for rate, _, _ in tally)
     if not rate_merge <= rate_whole <= rate_no_dedup:
         raise RuntimeError(
             "sample rates out of order: per_kpi_merge "
@@ -284,15 +304,29 @@ def compare(
         )
 
     results = []
-    for mode, (rate, bytes_sent, streams) in zip(MODE_ORDER, measured):
+    for mode, (rate, bytes_sent, streams) in zip(MODE_ORDER, tally):
         bytes_per_sec = bytes_sent * 1000.0 / sim_cfg.horizon_ms
         gross = power.predict(model, float(rate))
         saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
         pct = saved / gross * 100.0 if saved else 0.0
         results.append(SweepRow(
-            spec.redundancy_fraction, mode, streams, float(rate), bytes_per_sec, gross, saved, pct
+            sweep_value, mode, streams, float(rate), bytes_per_sec, gross, saved, pct
         ))
-    return ComparisonReport(tuple(results))
+    return tuple(results)
+
+
+def compare(
+    spec: ScenarioSpec, model: PowerModel, sim_cfg: SimConfig
+) -> ComparisonReport:
+    """Run all three dedup modes over one generated demand set; rows are
+    keyed by the scenario's redundancy fraction.
+
+    Saved watts are relative to the no-dedup transmitted rate; the saved
+    percentage is taken against the mode's own gross power, which for
+    the merged mode equals the deployment's duplicate-free power draw.
+    """
+    tally = _tally(build(spec), sim_cfg)
+    return ComparisonReport(_price(tally, spec.redundancy_fraction, model, sim_cfg))
 
 
 class SweepAxis(str, Enum):
@@ -318,6 +352,17 @@ SWEEP_AXES = {
 }
 
 
+def _adds_nodes(
+    previous: list[SubscriptionRequest], requests: list[SubscriptionRequest]
+) -> bool:
+    """Whether ``requests`` is ``previous`` followed by requests that name
+    only nodes ``previous`` does not."""
+    added = requests[len(previous):]
+    return requests[: len(previous)] == previous and {r.node for r in added}.isdisjoint(
+        r.node for r in previous
+    )
+
+
 def sweep(
     spec: ScenarioSpec,
     model: PowerModel,
@@ -329,7 +374,11 @@ def sweep(
 
     The redundancy axis emits all three mode rows per point; the node
     and KPI projection axes emit a single row in the scenario's mode.
-    An integer axis rejects a value that is not whole.
+    An integer axis rejects a value that is not whole. Each point's rows
+    equal its own ``compare``'s, errors included. A point that extends
+    the previous one with requests on new nodes only reuses the previous
+    point's totals and tallies just those requests; other points start
+    from scratch.
     """
     field, kind, grid, _, every_mode = SWEEP_AXES[axis]
     values = grid if values is None else values
@@ -339,13 +388,18 @@ def sweep(
         if kind is int and not float(value).is_integer():
             raise ValueError(f"{axis.value} axis takes whole numbers only: {value}")
     rows = []
+    previous: list[SubscriptionRequest] = []
+    totals = _NO_TALLY
     for value in values:
-        report = compare(replace(spec, **{field: kind(value)}), model, sim_cfg)
-        rows.extend(
-            replace(row, sweep_value=float(value))
-            for row in report.results
-            if every_mode or row.mode is spec.mode
-        )
+        requests = build(replace(spec, **{field: kind(value)}))
+        if _adds_nodes(previous, requests):
+            added = requests[len(previous):]
+        else:
+            added, totals = requests, _NO_TALLY
+        totals = [tuple(map(add, old, new)) for old, new in zip(totals, _tally(added, sim_cfg))]
+        previous = requests
+        priced = _price(totals, float(value), model, sim_cfg)
+        rows.extend(row for row in priced if every_mode or row.mode is spec.mode)
     return rows
 
 

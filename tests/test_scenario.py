@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from ricmerge import scenario
 from ricmerge.e2model import decompose, request_fingerprint
 from ricmerge.power import PowerModel
 from ricmerge.scenario import (
+    SWEEP_AXES,
     ComparisonReport,
     ConfigError,
     DedupMode,
@@ -185,7 +187,77 @@ class TestCompare:
         assert a == b
 
 
+def _compare_each_point(spec, axis, values):
+    """The sweep's rows as one ``compare`` per point would give them."""
+    field, kind, _, _, every_mode = SWEEP_AXES[axis]
+    rows = []
+    for value in values:
+        report = compare(replace(spec, **{field: kind(value)}), MODEL, SIM)
+        rows += [
+            replace(row, sweep_value=float(value))
+            for row in report.results
+            if every_mode or row.mode is spec.mode
+        ]
+    return rows
+
+
+MIXED = ScenarioSpec(
+    1,
+    6,
+    period_mix=((10, 0.4), (15, 0.3), (40, 0.3)),
+    sensitivity=SensitivityPolicy(per_xapp=((1, 8),)),
+    seed=4,
+)
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "spec, axis, values",
+        [
+            (MIXED, SweepAxis.NODES, list(range(1, 13))),
+            (MIXED, SweepAxis.NODES, [5, 2, 7, 7, 9, 1]),
+            (replace(MIXED, redundancy_fraction=0.4), SweepAxis.NODES, [5, 2, 7, 7, 9, 1]),
+            (replace(MIXED, redundancy_fraction=0.4), SweepAxis.NODES, list(range(1, 9))),
+            # Point 2 adds node 1 and a duplicate on node 0, which point 1 had.
+            (replace(MIXED, kpis_per_node=1, redundancy_fraction=0.4), SweepAxis.NODES, [1, 2]),
+            (replace(MIXED, nodes=3), SweepAxis.KPIS, [4, 1, 6, 6, 9]),
+            (replace(MIXED, nodes=4), SweepAxis.REDUNDANCY, [0.0, 0.5, 0.2, 0.2, 1.0]),
+        ],
+    )
+    def test_rows_equal_each_points_compare(self, spec, axis, values):
+        rows = sweep(spec, MODEL, SIM, axis, values)
+        assert rows_to_csv(rows) == rows_to_csv(_compare_each_point(spec, axis, values))
+
+    def test_node_points_decompose_only_the_requests_they_add(self, monkeypatch):
+        requests = []
+        monkeypatch.setattr(scenario, "decompose", lambda r: requests.append(r) or decompose(r))
+        values = list(range(1, 13))
+        sweep(MIXED, MODEL, SIM, SweepAxis.NODES, values)
+        assert len(requests) == len(values)
+        # With duplicates every point lists the duplicating requests after
+        # all the baseline ones, so no point extends the one before it.
+        requests.clear()
+        redundant = replace(MIXED, redundancy_fraction=0.4)
+        sweep(redundant, MODEL, SIM, SweepAxis.NODES, values)
+        each_point = [build(replace(redundant, nodes=n)) for n in values]
+        assert all(len(point) > n for n, point in zip(values, each_point))
+        assert len(requests) == sum(map(len, each_point))
+
+    def test_errors_stay_at_the_point_that_raises_them(self, monkeypatch):
+        spec = ScenarioSpec(1, 2, period_mix=((10, 0.9), (20, 0.07), (200, 0.03)), seed=0)
+        message = "horizon 100 ms shorter than stream period 200 ms (8:KPI0001)"
+        for nodes in range(1, 9):
+            compare(replace(spec, nodes=nodes), MODEL, SIM)
+        with pytest.raises(ValueError) as at_compare:
+            compare(replace(spec, nodes=9), MODEL, SIM)
+        assert str(at_compare.value) == message
+        built = []
+        monkeypatch.setattr(scenario, "build", lambda s: built.append(s.nodes) or build(s))
+        with pytest.raises(ValueError) as at_sweep:
+            sweep(spec, MODEL, SIM, SweepAxis.NODES, list(range(1, 20)))
+        assert str(at_sweep.value) == message
+        assert built == list(range(1, 10))
+
     def test_redundancy_axis_emits_all_modes(self):
         spec = ScenarioSpec(3, 4, 10, 0.0, seed=2)
         rows = sweep(spec, MODEL, SIM, SweepAxis.REDUNDANCY, [0.0, 0.5])
