@@ -36,11 +36,16 @@ class DuplicateKpiError(ValueError):
         self.kpi = kpi
 
 
+def check_period(period_ms: int) -> None:
+    """Raise ``ValueError`` unless ``period_ms`` is in [1, MAX_PERIOD_MS]."""
+    if not 1 <= period_ms <= MAX_PERIOD_MS:
+        raise ValueError(f"report period out of range [1, {MAX_PERIOD_MS}] ms: {period_ms}")
+
+
 def _validate_item(kpi: KpiId, period_ms: int, sensitivity_ms: int | None) -> None:
     if not kpi:
         raise ValueError("KPI name must be non-empty")
-    if not 1 <= period_ms <= MAX_PERIOD_MS:
-        raise ValueError(f"report period out of range [1, {MAX_PERIOD_MS}] ms: {period_ms}")
+    check_period(period_ms)
     if sensitivity_ms is not None and sensitivity_ms < 1:
         raise ValueError(f"staleness tolerance must be >= 1 ms: {sensitivity_ms}")
 

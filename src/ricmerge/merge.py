@@ -26,12 +26,13 @@ than patched incrementally. Within one bulk insert, groups of the same
 (period, tolerance) shape share one fold.
 
 The engine keeps each group as its shape's :class:`Fold` plus its xApp
-ids in rank order. A fold is validated once, through the
-:class:`TransmissionPlan` of the first group that has it; any other
-group's plan is built when first read and cached until the group
-changes. :meth:`MergeState.classes` hands the simulator each fold with
-the groups that share it, and the live broker keeps the engine's plans
-as its routing snapshot and fans indications out through ``feeds``.
+ids in rank order, and nothing else: that pair is the only plan state.
+A fold is validated once, through the :class:`TransmissionPlan` of the
+first group that has it, which is then dropped; a caller that asks for
+a plan gets one built from the fold. :meth:`MergeState.classes` hands
+the simulator each fold with the groups that share it, and the live
+broker keeps :meth:`MergeState.groups` as its routing snapshot and fans
+indications out through :func:`fed_at`.
 
 Every mutation returns the plan edit it caused as a :class:`PlanEdit`, a
 sequence of :class:`StreamChange` items: for each touched group in turn,
@@ -222,11 +223,6 @@ class StreamSpec:
             raise ValueError(f"stream period must be >= 1 ms: {self.period_ms}")
 
 
-# One stream and the xApps it feeds, in ascending id order: the row
-# shape the broker's indication fan-out reads.
-Feed = tuple[StreamSpec, tuple[XAppId, ...]]
-
-
 class Fold(NamedTuple):
     """One group shape's plan, in ranks (a demand's place in fold order).
 
@@ -240,6 +236,19 @@ class Fold(NamedTuple):
 
 # One (node, KPI) group: its xApp ids in rank order.
 Group = tuple[E2NodeId, KpiId, tuple[XAppId, ...]]
+
+# What the engine holds of one group: its fold and its xApp ids in rank order.
+GroupPlan = tuple[Fold, tuple[XAppId, ...]]
+
+
+def fed_at(group: GroupPlan, period_ms: int) -> tuple[XAppId, ...]:
+    """The xApps that ``group``'s stream at ``period_ms`` feeds, in the
+    order they joined it; none when the group has no such stream."""
+    (periods, feeds), xapps = group
+    for period, ranks in zip(periods, feeds):
+        if period == period_ms:
+            return tuple([xapps[rank] for rank in ranks])
+    return ()
 
 
 class PlanClass(NamedTuple):
@@ -262,16 +271,10 @@ _FANOUT_ERROR = (
 @dataclass(frozen=True, slots=True)
 class TransmissionPlan:
     """The streams chosen for one (node, KPI) pair plus the fan-out map
-    from each subscribed xApp to the index of the stream serving it.
-
-    ``feeds`` pairs each stream, in stream order, with the xApps it feeds
-    in ascending id order. It is the only inversion of ``fanout`` and is
-    built by the same walk that validates it.
-    """
+    from each subscribed xApp to the index of the stream serving it."""
 
     streams: tuple[StreamSpec, ...]
     fanout: dict[XAppId, int]
-    feeds: tuple[Feed, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", tuple(self.streams))
@@ -284,17 +287,9 @@ class TransmissionPlan:
                 raise ValueError("plan streams must share one (node, KPI) pair")
         if len({s.period_ms for s in streams}) != len(streams):
             raise ValueError("plan streams must have distinct periods")
-        indices = range(len(streams))
-        xapps: list[list[XAppId]] = [[] for _ in indices]
-        for xapp, index in self.fanout.items():
-            if index not in indices:
-                raise ValueError(_FANOUT_ERROR)
-            xapps[index].append(xapp)
-        for served in xapps:
-            if not served:
-                raise ValueError(_FANOUT_ERROR)
-            served.sort()
-        object.__setattr__(self, "feeds", tuple(zip(streams, map(tuple, xapps))))
+        # Every index names a stream, and every stream feeds an xApp.
+        if set(self.fanout.values()) != set(range(len(streams))):
+            raise ValueError(_FANOUT_ERROR)
 
     def stream_for(self, xapp: XAppId) -> StreamSpec:
         return self.streams[self.fanout[xapp]]
@@ -485,31 +480,23 @@ class MergeState:
     def __init__(self) -> None:
         self._demands: dict[_Key, dict[XAppId, KpiDemand]] = {}
         # Each group's fold and its xApp ids in rank order.
-        self._groups: dict[_Key, tuple[Fold, tuple[XAppId, ...]]] = {}
-        # The plans built so far; a group's plan goes when the group changes.
-        self._plans: dict[_Key, TransmissionPlan] = {}
+        self._groups: dict[_Key, GroupPlan] = {}
 
     def demand_count(self) -> int:
         return sum(len(v) for v in self._demands.values())
 
     def plan_for(self, node: E2NodeId, kpi: KpiId) -> TransmissionPlan | None:
-        """The group's plan, built on first read and kept until the group changes."""
-        key = (node, kpi)
-        plan = self._plans.get(key)
-        if plan is None:
-            group = self._groups.get(key)
-            if group is None:
-                return None
-            plan = self._plans[key] = _plan(key, *group)
-        return plan
+        """The group's plan, built from its fold on every call."""
+        group = self._groups.get((node, kpi))
+        return None if group is None else _plan((node, kpi), *group)
 
     def plans(self) -> dict[_Key, TransmissionPlan]:
-        """Every group's plan, building the ones not read since they changed."""
-        if len(self._plans) < len(self._groups):
-            for key in self._groups:
-                if key not in self._plans:
-                    self.plan_for(*key)
-        return dict(self._plans)
+        """Every group's plan, each built from its fold."""
+        return {key: _plan(key, *group) for key, group in self._groups.items()}
+
+    def groups(self) -> dict[_Key, GroupPlan]:
+        """A copy of every group's fold and xApp ids; builds no plan."""
+        return dict(self._groups)
 
     def classes(self) -> list[PlanClass]:
         """Every group, classed by the fold it shares; builds no plan."""
@@ -580,11 +567,10 @@ class MergeState:
         periods before and after.
 
         The first group of a new shape validates its fold by building its
-        plan through :class:`TransmissionPlan`, and keeps that plan.
+        plan through :class:`TransmissionPlan`; the plan is not kept.
         """
         old = self._groups.get(key)
         before = old[0].periods if old else ()
-        self._plans.pop(key, None)
         demands = self._demands.get(key)
         if not demands:
             self._groups.pop(key, None)
@@ -592,5 +578,5 @@ class MergeState:
         fold, xapps, new_shape = _fold(demands.values(), folds)
         self._groups[key] = (fold, xapps)
         if new_shape:
-            self._plans[key] = _plan(key, fold, xapps)
+            _plan(key, fold, xapps)
         return key, before, fold.periods

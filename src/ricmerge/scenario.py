@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -52,6 +53,7 @@ from .e2model import (
     SubscriptionItem,
     SubscriptionRequest,
     XAppId,
+    check_period,
     decompose,
     request_fingerprint,
 )
@@ -109,9 +111,14 @@ class ScenarioSpec:
             raise ValueError(
                 f"redundancy fraction must be in [0, 1]: {self.redundancy_fraction}"
             )
+        check_period(self.period_ms)
         if self.period_mix is not None:
             if not self.period_mix:
                 raise ValueError("period mix must not be empty")
+            for period, weight in self.period_mix:
+                check_period(period)
+                if not (math.isfinite(weight) and weight >= 0):
+                    raise ValueError(f"period mix weight must be finite and >= 0: {weight}")
             if abs(sum(w for _, w in self.period_mix) - 1.0) > 1e-9:
                 raise ValueError("period mix weights must sum to 1")
 

@@ -15,8 +15,9 @@ interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
 Subscription mutations are serialized through one broker-side lock, and
 every push to a node goes out under it: the setup reply and backlog, then
 each commit's added and removed streams. Indication fan-out reads the
-engine's plans as a snapshot that is swapped atomically whenever plans
-change, and follows each plan's ``feeds``.
+engine's groups (each a fold plus its xApps) as a snapshot that is
+swapped atomically whenever they change, and asks
+:func:`~ricmerge.merge.fed_at` which xApps a stream feeds.
 
 Threads: the broker runs an accept thread, one thread per connection and
 a stats thread; a node runs a reader and an emitter; an xApp runs a
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from . import e2model, power
 from .e2model import SubscriptionItem, SubscriptionRequest, decompose
-from .merge import ChangeAction, DuplicateDemandError, MergeState, UnknownDemandError
+from .merge import ChangeAction, DuplicateDemandError, MergeState, UnknownDemandError, fed_at
 from .power import PowerModel
 
 logger = logging.getLogger("ricmerge.wire")
@@ -364,8 +365,8 @@ class Broker:
         self._engine = MergeState()
         self._nodes: dict[int, _Peer] = {}
         self._xapps: dict[int, _Peer] = {}
-        # Snapshot of the engine's plans; replaced wholesale on change.
-        self._routing = self._engine.plans()
+        # Snapshot of the engine's groups; replaced wholesale on change.
+        self._routing = self._engine.groups()
         self.node_traffic: dict[int, NodeTraffic] = {}
 
     @property
@@ -413,8 +414,12 @@ class Broker:
 
     def _node_items(self, node: int) -> list[SubscriptionItem]:
         """The node's planned streams by KPI, then period; hold the lock."""
-        plans = [self._routing[key] for key in sorted(self._routing) if key[0] == node]
-        return [SubscriptionItem(s.kpi, s.period_ms) for plan in plans for s in plan.streams]
+        routing = self._routing
+        return [
+            SubscriptionItem(kpi, period)
+            for owner, kpi in sorted(routing) if owner == node
+            for period in routing[owner, kpi][0].periods
+        ]
 
     def _accept_loop(self, listener: socket.socket) -> None:
         while not self._stopping.is_set():
@@ -510,14 +515,24 @@ class Broker:
             peer.send(SubscribeReply(msg.node, True))
 
     def _handle_unsubscribe(self, msg: Unsubscribe) -> None:
+        """Drop the named demands; one warning names those the broker does not hold."""
+        unknown = []
         with self._lock:
             changes = []
             for kpi, _period in msg.items:
                 try:
                     changes.extend(self._engine.remove_demand(msg.sender, msg.node, kpi))
                 except UnknownDemandError:
-                    pass
+                    unknown.append(kpi)
             self._commit(changes)
+        if unknown:
+            logger.warning(
+                "xApp %d: unsubscribe of %d items not held on node %d, first %s",
+                msg.sender,
+                len(unknown),
+                msg.node,
+                unknown[:LOGGED_ITEMS],
+            )
 
     def _handle_indication(self, msg: Indication, frame_len: int) -> None:
         traffic = self.node_traffic[msg.node]
@@ -527,11 +542,9 @@ class Broker:
         routing = self._routing  # snapshot reference; safe to read unlocked
         per_xapp: dict[int, list[tuple[str, int]]] = {}
         for kpi, sample_time in msg.samples:
-            plan = routing.get((msg.node, kpi))
-            for stream, xapps in plan.feeds if plan else ():
-                if stream.period_ms == msg.period_ms:
-                    for xapp in xapps:
-                        per_xapp.setdefault(xapp, []).append((kpi, sample_time))
+            group = routing.get((msg.node, kpi))
+            for xapp in fed_at(group, msg.period_ms) if group else ():
+                per_xapp.setdefault(xapp, []).append((kpi, sample_time))
         for xapp, samples in per_xapp.items():
             peer = self._xapps.get(xapp)
             if peer is not None:
@@ -540,7 +553,7 @@ class Broker:
                 )
 
     def _commit(self, changes) -> None:
-        """Publish the engine's plans and push ``changes`` to the nodes; hold the lock.
+        """Publish the engine's groups and push ``changes`` to the nodes; hold the lock.
 
         Each node gets its ADDED streams as one Subscribe, then its REMOVED
         streams as one Unsubscribe, each in the order of ``changes``. So a
@@ -548,7 +561,7 @@ class Broker:
         is both added and dropped in one commit, so the order cannot undo
         an add.
         """
-        self._routing = self._engine.plans()
+        self._routing = self._engine.groups()
         adds: dict[int, list[SubscriptionItem]] = {}
         drops: dict[int, list[tuple[str, int]]] = {}
         for change in changes:
@@ -750,9 +763,14 @@ class XAppClient:
             return self._replies.pop(0)
 
     def unsubscribe(self, node: int, items: tuple[tuple[str, int], ...]) -> None:
+        """Send one unsubscribe; the broker sends no reply.
+
+        Raises ``ConnectionError`` when it cannot be sent.
+        """
         if self._peer is None:
             raise RuntimeError("not connected")
-        self._peer.send(Unsubscribe(self.xapp_id, node, items))
+        if not self._peer.send(Unsubscribe(self.xapp_id, node, items)):
+            raise ConnectionError("unsubscribe not sent: connection to broker lost")
 
     def _read_loop(self, peer: _Peer) -> None:
         for msg, _ in peer.messages(self._stopping):

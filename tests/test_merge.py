@@ -25,6 +25,7 @@ from ricmerge.merge import (
     _Stream,
     classes_sample_rate,
     decide_pair,
+    fed_at,
     max_staleness,
     sample_counts,
 )
@@ -257,27 +258,40 @@ class TestMergeState:
         state.add_demand(demand(2, 15))
         assert float(state.total_sample_rate()) == pytest.approx(166.67, abs=0.01)
 
-    def test_plan_for_is_kept_until_the_group_changes(self, plans_built):
+    def test_plan_for_follows_the_group(self, plans_built):
         state = MergeState()
         state.add_demands([demand(1, 10), demand(2, 15, kpi="b"), demand(3, 10, kpi="c")])
         # One plan per new shape validates it; "c" shares the shape of "a".
         assert [p.streams[0].kpi for p in plans_built] == ["a", "b"]
-        plan_a, plan_c = state.plan_for(0, "a"), state.plan_for(0, "c")
-        assert plans_built[0] is plan_a and plans_built[2] is plan_c
-        assert state.plan_for(0, "c") is plan_c
-        assert state.plans() == {(0, "a"): plan_a, (0, "b"): plans_built[1], (0, "c"): plan_c}
-        assert len(plans_built) == 3
+        plan_a = TransmissionPlan((StreamSpec(0, "a", 10),), {1: 0})
+        plan_b = TransmissionPlan((StreamSpec(0, "b", 15),), {2: 0})
+        plan_c = TransmissionPlan((StreamSpec(0, "c", 10),), {3: 0})
+        assert state.plan_for(0, "a") == plan_a and state.plan_for(0, "c") == plan_c
+        assert state.plans() == {(0, "a"): plan_a, (0, "b"): plan_b, (0, "c"): plan_c}
         state.add_demand(demand(4, 30, kpi="b"))
         assert state.add_demand(demand(1, 10)) == []
-        assert state.plan_for(0, "a") is plan_a and state.plan_for(0, "c") is plan_c
+        assert state.plan_for(0, "a") == plan_a and state.plan_for(0, "c") == plan_c
+        built = len(plans_built)
         state.add_demand(demand(5, 20))
-        grown = state.plan_for(0, "a")
-        assert grown is not plan_a and grown.fanout == {1: 0, 5: 0}
+        assert len(plans_built) == built + 1
+        assert state.plan_for(0, "a").fanout == {1: 0, 5: 0}
         state.remove_demand(5, 0, "a")
-        restored = state.plan_for(0, "a")
-        assert restored is not grown and restored == plan_a
+        assert state.plan_for(0, "a") == plan_a
         state.remove_demand(3, 0, "c")
         assert state.plan_for(0, "c") is None and (0, "c") not in state.plans()
+
+    def test_groups_is_a_copy_of_the_plan_state(self, plans_built):
+        state = MergeState()
+        state.add_demands([demand(1, 10), demand(2, 20), demand(3, 15, kpi="b")])
+        built = len(plans_built)
+        groups = state.groups()
+        assert groups == {
+            (0, "a"): (Fold((10,), ((0, 1),)), (1, 2)),
+            (0, "b"): (Fold((15,), ((0,),)), (3,)),
+        }
+        assert len(plans_built) == built
+        groups.clear()
+        assert state.plan_for(0, "b").fanout == {3: 0}
 
     def test_plans_are_insertion_order_insensitive(self):
         rng = random.Random(7)
@@ -427,25 +441,22 @@ class TestTransmissionPlan:
         with pytest.raises(ValueError, match="reference only existing streams"):
             TransmissionPlan(streams, fanout)
 
-    def test_feeds_invert_the_fanout(self):
-        streams = (StreamSpec(0, "a", 10), StreamSpec(0, "a", 15), StreamSpec(0, "a", 7))
-        plan = TransmissionPlan(streams, {5: 1, 2: 0, 9: 1, 3: 2, 1: 0})
-        assert plan.feeds == ((streams[0], (1, 2)), (streams[1], (5, 9)), (streams[2], (3,)))
-        assert plan.feeds is plan.feeds  # computed once per plan
-
-    def test_engine_plan_feeds_serve_each_xapp_once(self):
+    def test_engine_plan_serves_each_xapp_once(self):
         state = MergeState()
         for xapp, period in [(4, 15), (1, 10), (3, 20), (2, 15), (0, 7)]:
             state.add_demand(demand(xapp, period))
         plan = state.plan_for(0, "a")
         # 10, 15, 15 and 20 ms gcd-merge to 5 ms; 7 ms stays apart.
-        assert plan.feeds == ((StreamSpec(0, "a", 5), (1, 2, 3, 4)), (StreamSpec(0, "a", 7), (0,)))
-        assert [stream for stream, _ in plan.feeds] == list(plan.streams)
-        served = [x for _, xapps in plan.feeds for x in xapps]
-        assert sorted(served) == sorted(plan.fanout)
-        for stream, xapps in plan.feeds:
-            assert list(xapps) == sorted(xapps)
-            assert all(plan.stream_for(x) == stream for x in xapps)
+        assert plan.streams == (StreamSpec(0, "a", 5), StreamSpec(0, "a", 7))
+        assert sorted(plan.fanout.items()) == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0)]
+        assert {x: plan.stream_for(x).period_ms for x in range(5)} == {
+            0: 7, 1: 5, 2: 5, 3: 5, 4: 5
+        }
+        group = state.groups()[0, "a"]
+        for stream in plan.streams:
+            fed = fed_at(group, stream.period_ms)
+            assert sorted(fed) == sorted(x for x in plan.fanout if plan.stream_for(x) == stream)
+        assert fed_at(group, 10) == ()
 
     def test_sample_rate_helper(self):
         one_stream = PlanClass(Fold((10,), ((0,),)), [(0, "a", (1,)), (0, "b", (1,))])
@@ -712,7 +723,6 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
         want, got = alone.plan_for(*key), bulk.plan_for(*key)
         want_plans[key] = want
         assert got == want, key
-        assert got.feeds == want.feeds
         streams = reference_build_streams(by_group[key])
         assert list(got.fanout.items()) == [
             (m.xapp, i) for i, stream in enumerate(streams) for m in stream.members

@@ -393,6 +393,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="invalid config: '%'"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "line, cause",
+        [
+            ("period_mix = 10:1.5,20:-0.5", "weight must be finite and >= 0: -0.5"),
+            ("period_mix = 10:nan,20:1.0", "weight must be finite and >= 0: nan"),
+            ("period_mix = 10:inf,20:1.0", "weight must be finite and >= 0: inf"),
+            ("period_mix = 0:1.0", r"period out of range \[1, 3600000\] ms: 0"),
+            ("period_mix = 10:0.5,3600001:0.5", "period out of range .* ms: 3600001"),
+            ("period_ms = 0", "period out of range .* ms: 0"),
+            ("period_ms = -10", "period out of range .* ms: -10"),
+        ],
+    )
+    def test_bad_periods_and_weights_name_the_file(self, tmp_path, line, cause):
+        path = tmp_path / "mix.cfg"
+        path.write_text(f"[scenario]\nnodes = 1\nkpis_per_node = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"mix.cfg: invalid config: .*{cause}"):
+            load_config(str(path))
+
+    def test_zero_weight_and_period_bounds_are_accepted(self, tmp_path):
+        path = tmp_path / "mix.cfg"
+        path.write_text(
+            "[scenario]\nnodes = 1\nkpis_per_node = 1\nperiod_ms = 3600000\n"
+            "period_mix = 1:0.0,3600000:1.0\n"
+        )
+        spec, _, _ = load_config(str(path))
+        assert spec.period_mix == ((1, 0.0), (3600000, 1.0))
+
     def test_missing_nodes_is_named(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("[scenario]\nkpis_per_node = 1\n")

@@ -1,4 +1,5 @@
 import logging
+import random
 import socket
 import struct
 import threading
@@ -296,6 +297,28 @@ class TestRouting:
         broker._handle_setup(again, SetupRequest(1))
         assert again.sent == [SetupResponse(1, True), Subscribe(BROKER_SENDER, 1, (a40, a60, b60))]
 
+    def test_each_xapp_gets_the_indications_of_its_planned_stream(self):
+        rng = random.Random(20260809)
+        for _ in range(300):
+            broker = Broker()
+            broker._handle_setup(FakePeer(), SetupRequest(1))
+            xapps = {}
+            # Ids are not ranks: draw them apart and in no order.
+            for xapp in rng.sample(range(100), rng.randint(1, 5)):
+                tolerance = rng.choice([None, rng.randint(1, 16)])
+                item = SubscriptionItem("K", rng.randint(1, 24), tolerance)
+                peer = xapps[xapp] = broker._xapps[xapp] = FakePeer()
+                broker._handle_subscribe(peer, Subscribe(xapp, 1, (item,)))
+                assert peer.sent == [SubscribeReply(1, True)]
+                peer.sent.clear()
+            plan = broker._engine.plan_for(1, "K")
+            # Periods run 1-24 ms, so no stream is at 25 ms.
+            for period in [s.period_ms for s in plan.streams] + [25]:
+                broker._handle_indication(Indication(1, period, period, (("K", period),)), 40)
+            for xapp, peer in xapps.items():
+                period = plan.stream_for(xapp).period_ms
+                assert peer.sent == [Indication(1, period, period, (("K", period),))]
+
     def test_retime_subscribes_the_new_period_before_dropping_the_old(self):
         broker = Broker()
         node, slow, fast = FakePeer(), FakePeer(), FakePeer()
@@ -322,6 +345,23 @@ class TestRouting:
         assert "node 7" in record.getMessage()
         assert "Subscribe" in record.getMessage()
         assert "K0" in record.getMessage()
+
+    def test_unsubscribe_of_demands_not_held_is_logged_once(self, caplog):
+        caplog.set_level(logging.WARNING, logger="ricmerge.wire")
+        broker = Broker()
+        node, xapp = FakePeer(), FakePeer()
+        broker._handle_setup(node, SetupRequest(7))
+        broker._xapps[10] = xapp
+        broker._handle_subscribe(xapp, Subscribe(10, 7, (SubscriptionItem("K0", 40),)))
+        node.sent.clear()
+        held_and_not = (("K0", 40),) + tuple((f"X{i}", 40) for i in range(5))
+        broker._handle_unsubscribe(Unsubscribe(10, 7, held_and_not))
+        assert node.sent == [Unsubscribe(BROKER_SENDER, 7, (("K0", 40),))]
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        message = record.getMessage()
+        assert "xApp 10" in message and "node 7" in message and "5 items" in message
+        assert "X0" in message and "X2" in message and "X3" not in message
+        assert "K0" not in message
 
     def test_setup_reply_and_backlog_reach_the_node_before_a_racing_push(self):
         broker = Broker()
@@ -638,6 +678,8 @@ class TestLiveMode:
             with pytest.raises(ConnectionError, match="subscribe not sent"):
                 client.subscribe(3, (SubscriptionItem("b", 10),))
             assert time.monotonic() - started < 1
+            with pytest.raises(ConnectionError, match="unsubscribe not sent"):
+                client.unsubscribe(3, (("a", 10),))
         finally:
             client.close()
             thread.join(timeout=5)
