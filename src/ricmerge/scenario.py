@@ -19,23 +19,30 @@ rate, bytes sent and stream count are kept. ``compare`` is two steps:
 a tally measures a list of requests into each mode's exact totals, and
 pricing checks the rate order and turns the totals into rows.
 
+Totals over requests on disjoint nodes add exactly: every kept figure is
+a sum over (node, KPI) groups or, for per-node messages, over nodes, and
+requests on disjoint nodes never share a stream (a request's fingerprint
+covers its node, and merge groups are keyed on (node, KPI)). So the
+tally measures batches of whole nodes, each of at least
+``_TALLY_DEMANDS`` demands, and adds their totals: only one batch's
+demands, layouts and sim state are alive at once, while one table of
+folds, shared by every batch, folds each distinct group shape once.
+
 ``sweep`` repeats that along one axis of ``SWEEP_AXES``, which names
 the scenario field each axis sets, its type and its default grid. A
 point whose requests are the previous point's followed by requests on
 nodes the previous point did not have tallies just those requests and
-adds the previous totals; any other point is tallied from scratch. The
-sum is exact: every kept figure is a sum over (node, KPI) groups or,
-for per-node messages, over nodes, and requests on disjoint nodes never
-share a stream (a request's fingerprint covers its node, and merge
-groups are keyed on (node, KPI)). So a nodes sweep at redundancy 0 pays
-only for the node each point adds. A redundant scenario lists its
-duplicates after every baseline request, so its points, and those of
-the KPI and redundancy axes, start from scratch. ``rows_to_csv`` and ``rows_to_json`` render either's rows.
+adds the previous totals; any other point is tallied from scratch. So a
+nodes sweep at redundancy 0 pays only for the node each point adds. A
+redundant scenario lists its duplicates after every baseline request, so
+its points, and those of the KPI and redundancy axes, start from
+scratch. ``rows_to_csv`` and ``rows_to_json`` render either's rows.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
 import random
@@ -85,6 +92,17 @@ class SensitivityPolicy:
 
     fixed_ms: int | None = None
     per_xapp: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        xapps = [xapp for xapp, _ in self.per_xapp]
+        for xapp in xapps:
+            if xapp < 0:
+                raise ValueError(f"xApp id must be non-negative: {xapp}")
+            if xapps.count(xapp) > 1:
+                raise ValueError(f"xApp {xapp} has more than one tolerance")
+        for tolerance in [tolerance for _, tolerance in self.per_xapp] + [self.fixed_ms]:
+            if tolerance is not None and tolerance < 1:
+                raise ValueError(f"staleness tolerance must be >= 1 ms: {tolerance}")
 
     def tolerance_for(self, xapp: int) -> int | None:
         for xapp_id, tolerance in self.per_xapp:
@@ -140,9 +158,12 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     by a second xApp; its per-node requests list only the duplicated
     KPIs (in reverse order), so they never hash equal to the baseline
     request unless a node has a single KPI that is fully duplicated.
+    Items are frozen, so one item per distinct (KPI, period, tolerance)
+    serves every node that lists it.
     """
     rng = random.Random(spec.seed)
     kpis = [_kpi_name(k) for k in range(spec.kpis_per_node)]
+    item = functools.cache(SubscriptionItem)
 
     periods: dict[tuple[int, str], int] = {}
     for node in range(spec.nodes):
@@ -156,9 +177,7 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     requests = []
     base_tolerance = spec.sensitivity.tolerance_for(BASE_XAPP)
     for node in range(spec.nodes):
-        items = tuple(
-            SubscriptionItem(kpi, periods[(node, kpi)], base_tolerance) for kpi in kpis
-        )
+        items = tuple(item(kpi, periods[(node, kpi)], base_tolerance) for kpi in kpis)
         requests.append(SubscriptionRequest(BASE_XAPP, node, items))
 
     total = spec.nodes * spec.kpis_per_node
@@ -191,9 +210,7 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
         dup_by_node.setdefault(node, []).append(kpi)
     for node in sorted(dup_by_node):
         chosen = sorted(dup_by_node[node], reverse=True)
-        items = tuple(
-            SubscriptionItem(kpi, periods[(node, kpi)], dup_tolerance) for kpi in chosen
-        )
+        items = tuple(item(kpi, periods[(node, kpi)], dup_tolerance) for kpi in chosen)
         requests.append(SubscriptionRequest(DUPLICATE_XAPP, node, items))
     return requests
 
@@ -257,15 +274,17 @@ def _mode_layout(
     mode: DedupMode,
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
+    folds: dict[tuple, Fold],
 ) -> tuple[list[PlanClass], Fraction]:
-    """The mode's transmitted streams as classes, and their total sample rate."""
+    """The mode's transmitted streams as classes, and their total sample
+    rate. The merged mode folds through the shared table ``folds``."""
     if mode is DedupMode.NO_DEDUP:
         classes = _stream_classes((d.node, d.kpi, d.period_ms, (d.xapp,)) for d in demands)
     elif mode is DedupMode.WHOLE_REQUEST:
         classes = _stream_classes(_whole_request_rows(requests))
     else:
         state = MergeState()
-        state.add_demands(demands)
+        state.add_demands(demands, folds=folds)
         classes = state.classes()
     return classes, classes_sample_rate(classes)
 
@@ -275,11 +294,12 @@ def _measure(
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
     sim_cfg: SimConfig,
+    folds: dict[tuple, Fold],
 ) -> tuple[Fraction, int, int]:
     """Lay one mode out and simulate it: its sample rate, bytes sent and
     stream count. The classes and the sim report, which holds them, are
     dropped on return."""
-    classes, rate = _mode_layout(mode, requests, demands)
+    classes, rate = _mode_layout(mode, requests, demands, folds)
     report = sim_run(classes, demands, sim_cfg)
     streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
     return rate, report.bytes_sent, streams
@@ -289,12 +309,60 @@ def _measure(
 _Tally = list[tuple[Fraction, int, int]]
 _NO_TALLY: _Tally = [(Fraction(0), 0, 0)] * len(MODE_ORDER)
 
+# A tally batch closes at the first whole node that brings it to this
+# many demands. One node per batch would pay each layout's and each sim's
+# fixed cost once per node.
+_TALLY_DEMANDS = 4096
+
+
+def _add(totals: _Tally, tally: _Tally) -> _Tally:
+    return [tuple(map(add, old, new)) for old, new in zip(totals, tally)]
+
+
+def _node_batches(
+    requests: list[SubscriptionRequest],
+) -> Iterator[tuple[list[SubscriptionRequest], list[KpiDemand]]]:
+    """The requests of consecutive whole nodes, with their demands.
+
+    Nodes come in the order of their first request, and each node's
+    requests in list order. A batch closes once it holds at least
+    ``_TALLY_DEMANDS`` demands; the last holds what is left.
+    """
+    by_node: dict[E2NodeId, list[SubscriptionRequest]] = {}
+    for request in requests:
+        by_node.setdefault(request.node, []).append(request)
+    batch: list[SubscriptionRequest] = []
+    demands: list[KpiDemand] = []
+    for node_requests in by_node.values():
+        batch += node_requests
+        demands += [d for r in node_requests for d in decompose(r)]
+        if len(demands) >= _TALLY_DEMANDS:
+            yield batch, demands
+            batch, demands = [], []
+    if batch:
+        yield batch, demands
+
 
 def _tally(requests: list[SubscriptionRequest], sim_cfg: SimConfig) -> _Tally:
-    """Measure every mode over ``requests``, one mode at a time: only one
-    mode's classes are alive at once."""
-    demands = [d for r in requests for d in decompose(r)]
-    return [_measure(mode, requests, demands, sim_cfg) for mode in MODE_ORDER]
+    """Measure every mode over ``requests``: each mode's totals summed
+    over batches of whole nodes (:func:`_node_batches`).
+
+    Only one batch's demands, and one mode's classes and sim report for
+    it, are alive at once. The sum is exact (see the module docstring):
+    every kept figure is a sum over (node, KPI) groups or over nodes, and
+    a batch holds every request of its nodes. One table of folds serves
+    every batch, so each distinct group shape is folded and validated
+    once. On a scenario from :func:`build`, a horizon shorter than a
+    period raises the same error as measuring every demand at once: the
+    error names the first over-long demand, and a node's duplicates only
+    repeat periods of its baseline request, which comes before them.
+    """
+    folds: dict[tuple, Fold] = {}
+    totals = _NO_TALLY
+    for batch, demands in _node_batches(requests):
+        tally = [_measure(mode, batch, demands, sim_cfg, folds) for mode in MODE_ORDER]
+        totals = _add(totals, tally)
+    return totals
 
 
 def _price(
@@ -331,6 +399,9 @@ def compare(
     Saved watts are relative to the no-dedup transmitted rate; the saved
     percentage is taken against the mode's own gross power, which for
     the merged mode equals the deployment's duplicate-free power draw.
+    The demand set is measured in batches of whole nodes (:func:`_tally`),
+    so the demands and layouts of a deployment larger than one batch are
+    never held whole; the rows are those of measuring it at once.
     """
     tally = _tally(build(spec), sim_cfg)
     return ComparisonReport(_price(tally, spec.redundancy_fraction, model, sim_cfg))
@@ -403,7 +474,7 @@ def sweep(
             added = requests[len(previous):]
         else:
             added, totals = requests, _NO_TALLY
-        totals = [tuple(map(add, old, new)) for old, new in zip(totals, _tally(added, sim_cfg))]
+        totals = _add(totals, _tally(added, sim_cfg))
         previous = requests
         priced = _price(totals, float(value), model, sim_cfg)
         rows.extend(row for row in priced if every_mode or row.mode is spec.mode)

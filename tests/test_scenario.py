@@ -1,4 +1,5 @@
 import pathlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from ricmerge import scenario
 from ricmerge.e2model import decompose, request_fingerprint
 from ricmerge.power import PowerModel
 from ricmerge.scenario import (
+    MODE_ORDER,
     SWEEP_AXES,
     ComparisonReport,
     ConfigError,
@@ -93,6 +95,15 @@ class TestBuild:
         prints = {request_fingerprint(r) for r in requests}
         assert len(prints) == len(requests)  # reversal keeps hashes distinct
 
+    def test_items_are_shared_across_nodes(self):
+        spec = ScenarioSpec(
+            6, 5, redundancy_fraction=0.5, period_mix=((10, 0.5), (20, 0.5)), seed=2,
+            sensitivity=SensitivityPolicy(per_xapp=((1, 9),)),
+        )
+        items = [item for r in build(spec) for item in r.items]
+        assert len(items) == 45
+        assert len({id(item) for item in items}) == len(set(items))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ScenarioSpec(1, 1, period_mix=((10, 0.5), (20, 0.4)))
@@ -132,8 +143,8 @@ class TestCompare:
     def test_rate_order_violation_raises(self, monkeypatch):
         original = scenario._mode_layout
 
-        def inflated_merge(mode, requests, demands):
-            rows, rate = original(mode, requests, demands)
+        def inflated_merge(mode, *args):
+            rows, rate = original(mode, *args)
             if mode is DedupMode.PER_KPI_MERGE:
                 rate += 1
             return rows, rate
@@ -180,11 +191,109 @@ class TestCompare:
         assert specs_built == [s for plan in plans_built for s in plan.streams]
         assert changes_built == []
 
+    def test_one_plan_per_shape_with_one_node_per_batch(
+        self, monkeypatch, plans_built, specs_built, changes_built
+    ):
+        """With one node per tally batch every shape recurs across batches,
+        so one plan per shape means every batch shares one fold table."""
+        monkeypatch.setattr(scenario, "_TALLY_DEMANDS", 1)
+        self.test_one_plan_per_distinct_merged_shape(plans_built, specs_built, changes_built)
+
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)
         a = rows_to_csv(compare(spec, MODEL, SIM).results)
         b = rows_to_csv(compare(spec, MODEL, SIM).results)
         assert a == b
+
+
+def reference_tally(requests, sim_cfg):
+    """The tally of ``requests`` in one piece: every mode measured over
+    every demand at once."""
+    demands = [d for r in requests for d in decompose(r)]
+    return [scenario._measure(mode, requests, demands, sim_cfg, {}) for mode in MODE_ORDER]
+
+
+def _outcome(tally, requests, sim_cfg):
+    """A tally's totals, or the type and message of what it raised."""
+    try:
+        return tally(requests, sim_cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _tally_corpus(count=40, seed=15):
+    """Seeded scenarios of 1-8 nodes and 1-6 KPIs, with sim configs; some
+    horizons are shorter than one of the mixed periods."""
+    rng = random.Random(seed)
+    mixes = (None, ((10, 0.5), (20, 0.5)), ((10, 0.4), (15, 0.3), (40, 0.2), (200, 0.1)))
+    policies = (
+        SensitivityPolicy(),
+        SensitivityPolicy(per_xapp=((1, 8),)),
+        SensitivityPolicy(per_xapp=((0, 30), (1, 3))),
+    )
+    cases = []
+    for _ in range(count):
+        spec = ScenarioSpec(
+            nodes=rng.randint(1, 8),
+            kpis_per_node=rng.randint(1, 6),
+            redundancy_fraction=rng.choice((0.0, 1.0, round(rng.random(), 2))),
+            period_mix=rng.choice(mixes),
+            sensitivity=rng.choice(policies),
+            seed=rng.randrange(1000),
+        )
+        sim_cfg = SimConfig(
+            horizon_ms=rng.choice((100, 1000)),
+            header_bytes=rng.choice((0, 12)),
+            batching=rng.choice(list(Batching)),
+        )
+        cases.append((build(spec), sim_cfg))
+    return cases
+
+
+TALLY_CORPUS = _tally_corpus()
+
+
+class TestTally:
+    @pytest.mark.parametrize("budget", [1, 7, scenario._TALLY_DEMANDS, "above"])
+    def test_batches_add_up_to_the_whole_set(self, monkeypatch, budget):
+        outcomes = []
+        for requests, sim_cfg in TALLY_CORPUS:
+            demand_count = sum(len(r.items) for r in requests)
+            limit = demand_count + 1 if budget == "above" else budget
+            monkeypatch.setattr(scenario, "_TALLY_DEMANDS", limit)
+            expected = _outcome(reference_tally, requests, sim_cfg)
+            assert _outcome(scenario._tally, requests, sim_cfg) == expected
+            outcomes.append(expected)
+        # The corpus reaches both the totals and the horizon error.
+        assert {type(o) for o in outcomes} == {list, tuple}
+
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_batches_hold_whole_nodes_up_to_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(scenario, "_TALLY_DEMANDS", budget)
+        seen = []
+        original = scenario._mode_layout
+
+        def recorded(mode, requests, demands, folds):
+            seen.append((mode, requests, demands))
+            return original(mode, requests, demands, folds)
+
+        monkeypatch.setattr(scenario, "_mode_layout", recorded)
+        requests = build(replace(MIXED, nodes=7, redundancy_fraction=0.4))
+        scenario._tally(requests, SIM)
+        assert [mode for mode, _, _ in seen] == list(MODE_ORDER) * (len(seen) // 3)
+        batches = [(batch, demands) for mode, batch, demands in seen if mode is MODE_ORDER[0]]
+        nodes = [sorted({d.node for d in demands}) for _, demands in batches]
+        assert sum(nodes, []) == list(range(7))
+        if budget == 1:
+            assert all(len(batch_nodes) == 1 for batch_nodes in nodes)
+        for batch, demands in batches:
+            # Every request of the batch's nodes, each node's in list order.
+            order = dict.fromkeys(d.node for d in demands)
+            assert batch == [r for node in order for r in requests if r.node == node]
+            assert [d for r in batch for d in decompose(r)] == demands
+        for _, demands in batches[:-1]:
+            last = demands[-1].node
+            assert len(demands) >= budget > len([d for d in demands if d.node != last])
 
 
 def _compare_each_point(spec, axis, values):
@@ -419,6 +528,21 @@ class TestConfig:
         )
         spec, _, _ = load_config(str(path))
         assert spec.period_mix == ((1, 0.0), (3600000, 1.0))
+
+    @pytest.mark.parametrize(
+        "policy, cause",
+        [
+            ("per_xapp:1=-3", "staleness tolerance must be >= 1 ms: -3"),
+            ("fixed:0", "staleness tolerance must be >= 1 ms: 0"),
+            ("per_xapp:1=3,1=5", "xApp 1 has more than one tolerance"),
+            ("per_xapp:-1=3", "xApp id must be non-negative: -1"),
+        ],
+    )
+    def test_bad_sensitivity_names_the_file(self, tmp_path, policy, cause):
+        path = tmp_path / "tolerance.cfg"
+        path.write_text(f"[scenario]\nnodes = 1\nkpis_per_node = 1\nsensitivity = {policy}\n")
+        with pytest.raises(ConfigError, match=f"tolerance.cfg: invalid config: {cause}"):
+            load_config(str(path))
 
     def test_missing_nodes_is_named(self, tmp_path):
         path = tmp_path / "spec.cfg"
