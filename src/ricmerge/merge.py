@@ -23,8 +23,7 @@ a+b for the pair, and a*b >= a+b. It becomes profitable only once three
 or more demands accumulate on a stream, which is why plans are rebuilt
 from the full demand set (including a stream consolidation pass) rather
 than patched incrementally. Within one bulk insert, groups of the same
-(period, tolerance) shape share one fold, and a caller can share its
-table of folds across inserts.
+(period, tolerance) shape share one fold.
 
 The engine keeps each group as its shape's :class:`Fold` plus its xApp
 ids in rank order, and nothing else: that pair is the only plan state.
@@ -512,20 +511,14 @@ class MergeState:
     def add_demand(self, demand: KpiDemand) -> PlanEdit:
         return self.add_demands([demand])
 
-    def add_demands(
-        self, demands: Iterable[KpiDemand], *, folds: dict[_Shape, Fold] | None = None
-    ) -> PlanEdit:
+    def add_demands(self, demands: Iterable[KpiDemand]) -> PlanEdit:
         """Insert demands atomically, recomputing each touched group once.
 
         Either every demand is admitted (exactly identical re-submissions
         are ignored) or the state is left untouched. A group the state
-        does not hold yet keeps the checked pending dict as its own.
-
-        ``folds`` maps group shapes to their folds. The call reuses the
-        shapes it holds and adds those it folds, so callers that pass one
-        table to several calls, even on different states, fold and
-        validate each shape once across them. Without it the call keeps a
-        table of its own.
+        does not hold yet keeps the checked pending dict as its own. The
+        touched groups that share a shape share one fold, folded and
+        validated once per call.
         """
         pending: dict[_Key, dict[XAppId, KpiDemand]] = {}
         for demand in demands:
@@ -544,7 +537,7 @@ class MergeState:
             held = self._demands.setdefault(key, group)
             if held is not group:
                 held.update(group)
-        folds = {} if folds is None else folds
+        folds: dict[_Shape, Fold] = {}
         return PlanEdit([self._recompute(key, folds) for key in sorted(pending)])
 
     def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> PlanEdit:

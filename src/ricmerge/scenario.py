@@ -12,12 +12,14 @@ the power model and returns one ``SweepRow`` per mode. Each mode lays
 its streams out as classes (:class:`~ricmerge.merge.PlanClass`): a fold
 plus the (node, KPI) groups that share it, so the rate and the
 simulation cost what the distinct folds cost, and no per-group plan is
-built. The baseline modes send each stream on its own, one class per
-(period, number of xApps fed); the merged mode takes the engine's
-classes. One mode is laid out and simulated at a time, and only its
-rate, bytes sent and stream count are kept. ``compare`` is two steps:
-a tally measures a list of requests into each mode's exact totals, and
-pricing checks the rate order and turns the totals into rows.
+built. The baseline modes key requests by fingerprint (whole-request
+dedup) or by place (no dedup), and send each key's first request's
+items as streams of their own, one class per (period, number of xApps
+fed); the merged mode takes the engine's classes. One mode is laid out
+and simulated at a time, and only its rate, bytes sent and stream count
+are kept. ``compare`` is two steps: a tally measures a list of requests
+into each mode's exact totals, and pricing checks the rate order and
+turns the totals into rows.
 
 Totals over requests on disjoint nodes add exactly: every kept figure is
 a sum over (node, KPI) groups or, for per-node messages, over nodes, and
@@ -25,8 +27,7 @@ requests on disjoint nodes never share a stream (a request's fingerprint
 covers its node, and merge groups are keyed on (node, KPI)). So the
 tally measures batches of whole nodes, each of at least
 ``_TALLY_DEMANDS`` demands, and adds their totals: only one batch's
-demands, layouts and sim state are alive at once, while one table of
-folds, shared by every batch, folds each distinct group shape once.
+demands, layouts and sim state are alive at once.
 
 ``sweep`` repeats that along one axis of ``SWEEP_AXES``, which names
 the scenario field each axis sets, its type and its default grid. A
@@ -56,7 +57,6 @@ from . import power
 from .e2model import (
     E2NodeId,
     KpiDemand,
-    KpiId,
     SubscriptionItem,
     SubscriptionRequest,
     XAppId,
@@ -215,33 +215,30 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     return requests
 
 
-# One stream sent on its own: its node, KPI and period, and the xApps it feeds.
-_Row = tuple[E2NodeId, KpiId, int, tuple[XAppId, ...]]
+def _baseline_classes(requests: list[SubscriptionRequest], share: bool) -> list[PlanClass]:
+    """The classes of a baseline mode's streams, each sent on its own.
 
-
-def _stream_classes(rows: Iterable[_Row]) -> list[PlanClass]:
-    """The classes of streams that are each sent on their own."""
+    Requests are keyed by fingerprint when ``share`` (whole-request
+    dedup), else each by its place in the list (no dedup). Each key's
+    first request sends one stream per item, which feeds the xApps of
+    every request with that key in id order; the streams fall into one
+    class per (period, number of xApps fed).
+    """
+    kept: dict[bytes | int, tuple[SubscriptionRequest, set[XAppId]]] = {}
+    for index, request in enumerate(requests):
+        key = request_fingerprint(request) if share else index
+        kept.setdefault(key, (request, set()))[1].add(request.xapp)
     by_fold: dict[tuple[int, int], list[Group]] = {}
-    for node, kpi, period, xapps in rows:
-        by_fold.setdefault((period, len(xapps)), []).append((node, kpi, xapps))
+    for request, xapps in kept.values():
+        fed = tuple(sorted(xapps))
+        for item in request.items:
+            by_fold.setdefault((item.period_ms, len(fed)), []).append(
+                (request.node, item.kpi, fed)
+            )
     return [
         PlanClass(Fold((period,), (tuple(range(fed)),)), groups)
         for (period, fed), groups in by_fold.items()
     ]
-
-
-def _whole_request_rows(requests: list[SubscriptionRequest]) -> Iterator[_Row]:
-    """Stream rows under whole-request dedup: requests with identical
-    content hashes share the first request's streams; everything else is
-    transmitted as-is."""
-    groups: dict[bytes, list[SubscriptionRequest]] = {}
-    for request in requests:
-        groups.setdefault(request_fingerprint(request), []).append(request)
-    for members in groups.values():
-        keeper = members[0]
-        xapps = tuple(sorted({m.xapp for m in members}))
-        for item in keeper.items:
-            yield keeper.node, item.kpi, item.period_ms, xapps
 
 
 @dataclass(frozen=True)
@@ -274,18 +271,15 @@ def _mode_layout(
     mode: DedupMode,
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
-    folds: dict[tuple, Fold],
 ) -> tuple[list[PlanClass], Fraction]:
     """The mode's transmitted streams as classes, and their total sample
-    rate. The merged mode folds through the shared table ``folds``."""
-    if mode is DedupMode.NO_DEDUP:
-        classes = _stream_classes((d.node, d.kpi, d.period_ms, (d.xapp,)) for d in demands)
-    elif mode is DedupMode.WHOLE_REQUEST:
-        classes = _stream_classes(_whole_request_rows(requests))
-    else:
+    rate."""
+    if mode is DedupMode.PER_KPI_MERGE:
         state = MergeState()
-        state.add_demands(demands, folds=folds)
+        state.add_demands(demands)
         classes = state.classes()
+    else:
+        classes = _baseline_classes(requests, mode is DedupMode.WHOLE_REQUEST)
     return classes, classes_sample_rate(classes)
 
 
@@ -294,12 +288,11 @@ def _measure(
     requests: list[SubscriptionRequest],
     demands: list[KpiDemand],
     sim_cfg: SimConfig,
-    folds: dict[tuple, Fold],
 ) -> tuple[Fraction, int, int]:
     """Lay one mode out and simulate it: its sample rate, bytes sent and
     stream count. The classes and the sim report, which holds them, are
     dropped on return."""
-    classes, rate = _mode_layout(mode, requests, demands, folds)
+    classes, rate = _mode_layout(mode, requests, demands)
     report = sim_run(classes, demands, sim_cfg)
     streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
     return rate, report.bytes_sent, streams
@@ -350,17 +343,15 @@ def _tally(requests: list[SubscriptionRequest], sim_cfg: SimConfig) -> _Tally:
     Only one batch's demands, and one mode's classes and sim report for
     it, are alive at once. The sum is exact (see the module docstring):
     every kept figure is a sum over (node, KPI) groups or over nodes, and
-    a batch holds every request of its nodes. One table of folds serves
-    every batch, so each distinct group shape is folded and validated
-    once. On a scenario from :func:`build`, a horizon shorter than a
-    period raises the same error as measuring every demand at once: the
-    error names the first over-long demand, and a node's duplicates only
-    repeat periods of its baseline request, which comes before them.
+    a batch holds every request of its nodes. On a scenario from
+    :func:`build`, a horizon shorter than a period raises the same error
+    as measuring every demand at once: the error names the first
+    over-long demand, and a node's duplicates only repeat periods of its
+    baseline request, which comes before them.
     """
-    folds: dict[tuple, Fold] = {}
     totals = _NO_TALLY
     for batch, demands in _node_batches(requests):
-        tally = [_measure(mode, batch, demands, sim_cfg, folds) for mode in MODE_ORDER]
+        tally = [_measure(mode, batch, demands, sim_cfg) for mode in MODE_ORDER]
         totals = _add(totals, tally)
     return totals
 
@@ -520,12 +511,19 @@ def _parse_sensitivity(text: str) -> SensitivityPolicy:
     if text == "none":
         return SensitivityPolicy()
     if text.startswith("fixed:"):
-        return SensitivityPolicy(fixed_ms=int(text.split(":", 1)[1]))
+        try:
+            fixed_ms = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad sensitivity entry {text!r}") from exc
+        return SensitivityPolicy(fixed_ms=fixed_ms)
     if text.startswith("per_xapp:"):
         pairs = []
         for part in text.split(":", 1)[1].split(","):
-            xapp, tolerance = part.strip().split("=")
-            pairs.append((int(xapp), int(tolerance)))
+            try:
+                xapp, tolerance = part.strip().split("=")
+                pairs.append((int(xapp), int(tolerance)))
+            except ValueError as exc:
+                raise ConfigError(f"bad sensitivity entry {part.strip()!r}") from exc
         return SensitivityPolicy(per_xapp=tuple(pairs))
     raise ConfigError(f"bad sensitivity policy {text!r}")
 

@@ -342,7 +342,8 @@ class Broker:
     """RIC-side endpoint: owns the merge state, routes indications.
 
     Node connections open with a setup request; xApp connections open
-    with their first subscribe. Every subscription change is pushed to
+    with their first subscribe, refused when another connection holds
+    its xApp id. Every subscription change is pushed to
     the affected node as modified subscription messages.
     """
 
@@ -454,9 +455,13 @@ class Broker:
                     self._handle_indication(msg, frame_size)
                 elif isinstance(msg, Subscribe) and node_id is None:
                     if xapp_id is None:
-                        xapp_id = msg.sender
                         with self._lock:
-                            self._xapps[xapp_id] = peer
+                            held = self._xapps.setdefault(msg.sender, peer)
+                        if held is not peer:
+                            peer.reason = "xApp already connected"
+                            peer.send(SubscribeReply(msg.node, False, peer.reason))
+                            break
+                        xapp_id = msg.sender
                     elif msg.sender != xapp_id:
                         peer.reason = "sender id changed mid-connection"
                         break

@@ -42,6 +42,12 @@ class TestRun:
         assert out == (GOLDEN / "run_small.json").read_text()
         assert json.loads(out)[2]["saved_watts"] == pytest.approx(8.4132)
 
+    def test_mixed_scenario_matches_golden(self, capsys):
+        """Mixed periods, a per-xApp tolerance and partial redundancy."""
+        code, out, _ = run_cli(capsys, "run", REPO / "configs" / "mixed.cfg")
+        assert code == 0
+        assert out == (GOLDEN / "run_mixed.csv").read_text()
+
     def test_identical_invocations_identical_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "run", REPO / "configs" / "medium.cfg")
         _, second, _ = run_cli(capsys, "run", REPO / "configs" / "medium.cfg")

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +23,6 @@ from ricmerge.merge import (
     StreamSpec,
     TransmissionPlan,
     UnknownDemandError,
-    _Stream,
     classes_sample_rate,
     decide_pair,
     fed_at,
@@ -470,6 +470,16 @@ class TestTransmissionPlan:
 # single admission rule must reproduce plan for plan.
 
 
+@dataclass
+class ReferenceStream:
+    period_ms: int
+    members: list = field(default_factory=list)
+
+    def sort_key(self):
+        anchor = min((m.period_ms, m.xapp) for m in self.members)
+        return (self.period_ms, *anchor)
+
+
 def reference_decide_pair(existing, incoming):
     ti, si = existing
     tj, sj = incoming
@@ -556,16 +566,16 @@ def reference_try_consolidate(fast, slow):
 
 def reference_build_streams(demands):
     if len(demands) == 1:
-        return [_Stream(demands[0].period_ms, [demands[0]])]
+        return [ReferenceStream(demands[0].period_ms, [demands[0]])]
     streams = []
     for d in sorted(demands, key=lambda d: (d.period_ms, d.xapp)):
-        streams.sort(key=_Stream.sort_key)
+        streams.sort(key=ReferenceStream.sort_key)
         if not any(reference_try_join(stream, d) for stream in streams):
-            streams.append(_Stream(d.period_ms, [d]))
+            streams.append(ReferenceStream(d.period_ms, [d]))
     merged = True
     while merged:
         merged = False
-        streams.sort(key=_Stream.sort_key)
+        streams.sort(key=ReferenceStream.sort_key)
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
                 if reference_try_consolidate(streams[i], streams[j]):
@@ -574,7 +584,7 @@ def reference_build_streams(demands):
                     break
             if merged:
                 break
-    streams.sort(key=_Stream.sort_key)
+    streams.sort(key=ReferenceStream.sort_key)
     return streams
 
 

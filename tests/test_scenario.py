@@ -1,3 +1,4 @@
+import collections
 import pathlib
 import random
 from dataclasses import replace
@@ -6,6 +7,7 @@ import pytest
 
 from ricmerge import scenario
 from ricmerge.e2model import decompose, request_fingerprint
+from ricmerge.merge import Fold, PlanClass, classes_sample_rate
 from ricmerge.power import PowerModel
 from ricmerge.scenario import (
     MODE_ORDER,
@@ -191,14 +193,6 @@ class TestCompare:
         assert specs_built == [s for plan in plans_built for s in plan.streams]
         assert changes_built == []
 
-    def test_one_plan_per_shape_with_one_node_per_batch(
-        self, monkeypatch, plans_built, specs_built, changes_built
-    ):
-        """With one node per tally batch every shape recurs across batches,
-        so one plan per shape means every batch shares one fold table."""
-        monkeypatch.setattr(scenario, "_TALLY_DEMANDS", 1)
-        self.test_one_plan_per_distinct_merged_shape(plans_built, specs_built, changes_built)
-
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)
         a = rows_to_csv(compare(spec, MODEL, SIM).results)
@@ -210,7 +204,7 @@ def reference_tally(requests, sim_cfg):
     """The tally of ``requests`` in one piece: every mode measured over
     every demand at once."""
     demands = [d for r in requests for d in decompose(r)]
-    return [scenario._measure(mode, requests, demands, sim_cfg, {}) for mode in MODE_ORDER]
+    return [scenario._measure(mode, requests, demands, sim_cfg) for mode in MODE_ORDER]
 
 
 def _outcome(tally, requests, sim_cfg):
@@ -253,6 +247,63 @@ def _tally_corpus(count=40, seed=15):
 TALLY_CORPUS = _tally_corpus()
 
 
+# Reference baselines: the two layouts as they stood when each mode had
+# its own row builder. Kept as the oracle for the one request rule.
+
+
+def reference_stream_classes(rows):
+    by_fold = {}
+    for node, kpi, period, xapps in rows:
+        by_fold.setdefault((period, len(xapps)), []).append((node, kpi, xapps))
+    return [
+        PlanClass(Fold((period,), (tuple(range(fed)),)), groups)
+        for (period, fed), groups in by_fold.items()
+    ]
+
+
+def reference_whole_request_rows(requests):
+    groups = {}
+    for request in requests:
+        groups.setdefault(request_fingerprint(request), []).append(request)
+    for members in groups.values():
+        keeper = members[0]
+        xapps = tuple(sorted({m.xapp for m in members}))
+        for item in keeper.items:
+            yield keeper.node, item.kpi, item.period_ms, xapps
+
+
+def streams_of(classes):
+    """Every stream of ``classes`` as (node, KPI, period, xApps fed)."""
+    return collections.Counter(
+        (node, kpi, period, tuple(xapps[rank] for rank in ranks))
+        for fold, groups in classes
+        for node, kpi, xapps in groups
+        for period, ranks in zip(fold.periods, fold.feeds)
+    )
+
+
+def test_baselines_match_reference_layouts():
+    shared = 0
+    for requests, _ in TALLY_CORPUS:
+        demands = [d for r in requests for d in decompose(r)]
+        references = {
+            DedupMode.NO_DEDUP: reference_stream_classes(
+                (d.node, d.kpi, d.period_ms, (d.xapp,)) for d in demands
+            ),
+            DedupMode.WHOLE_REQUEST: reference_stream_classes(
+                reference_whole_request_rows(requests)
+            ),
+        }
+        for mode, reference in references.items():
+            classes, rate = scenario._mode_layout(mode, requests, demands)
+            assert streams_of(classes) == streams_of(reference), mode
+            assert rate == classes_sample_rate(reference)
+        sent = [streams_of(reference).total() for reference in references.values()]
+        shared += sent[1] < sent[0]
+    # The corpus reaches requests that whole-request dedup shares.
+    assert shared > 0
+
+
 class TestTally:
     @pytest.mark.parametrize("budget", [1, 7, scenario._TALLY_DEMANDS, "above"])
     def test_batches_add_up_to_the_whole_set(self, monkeypatch, budget):
@@ -273,9 +324,9 @@ class TestTally:
         seen = []
         original = scenario._mode_layout
 
-        def recorded(mode, requests, demands, folds):
+        def recorded(mode, requests, demands):
             seen.append((mode, requests, demands))
-            return original(mode, requests, demands, folds)
+            return original(mode, requests, demands)
 
         monkeypatch.setattr(scenario, "_mode_layout", recorded)
         requests = build(replace(MIXED, nodes=7, redundancy_fraction=0.4))
@@ -536,6 +587,9 @@ class TestConfig:
             ("fixed:0", "staleness tolerance must be >= 1 ms: 0"),
             ("per_xapp:1=3,1=5", "xApp 1 has more than one tolerance"),
             ("per_xapp:-1=3", "xApp id must be non-negative: -1"),
+            ("per_xapp:1", "bad sensitivity entry '1'$"),
+            ("fixed:", "bad sensitivity entry 'fixed:'$"),
+            ("per_xapp:a=3", "bad sensitivity entry 'a=3'$"),
         ],
     )
     def test_bad_sensitivity_names_the_file(self, tmp_path, policy, cause):

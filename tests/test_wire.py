@@ -630,6 +630,30 @@ class TestLiveMode:
             second.start()
         first.stop()
 
+    def test_duplicate_xapp_id_rejected(self, broker):
+        """A second connection that subscribes with a held xApp id is
+        refused and closed; the first keeps its indications and demands."""
+        host, port = broker.address
+        node = NodeEmulator(host, port, node_id=12)
+        node.start()
+        first = XAppClient(host, port, 70)
+        impostor = XAppClient(host, port, 70)
+        first.connect()
+        impostor.connect()
+        try:
+            assert first.subscribe(12, (SubscriptionItem("a", 20),)).accepted
+            reply = impostor.subscribe(12, (SubscriptionItem("a", 20),))
+            assert (reply.accepted, reply.reason) == (False, "xApp already connected")
+            impostor.close()
+            seen = first.samples_per_kpi.get("a", 0)
+            assert wait_until(lambda: first.samples_per_kpi.get("a", 0) >= seen + 3)
+            assert impostor.received_samples == 0
+            assert broker.plan_streams(12) == {("a", 20)}
+        finally:
+            first.close()
+            impostor.close()
+            node.stop()
+
     def test_unreachable_broker_retries_then_fails(self, monkeypatch):
         monkeypatch.setattr(wire, "CONNECT_ATTEMPTS", 2)
         monkeypatch.setattr(wire, "CONNECT_BACKOFF_S", 0.01)
