@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
 
@@ -68,15 +68,6 @@ class DecisionKind(str, Enum):
     MIN_PERIOD = "min_period"
     GCD_MERGE = "gcd_merge"
     DUPLICATE = "duplicate"
-
-
-class SampleCounts(NamedTuple):
-    """Samples per hyperperiod: one merged stream at the gcd versus one
-    stream at each of the two periods."""
-
-    merged: int
-    first: int
-    second: int
 
 
 def classes_sample_rate(classes: Iterable["PlanClass"]) -> Fraction:
@@ -100,29 +91,8 @@ def max_staleness(ti_ms: int, tj_ms: int) -> int:
     return min(ti_ms, tj_ms) - math.gcd(ti_ms, tj_ms)
 
 
-def sample_counts(ti_ms: int, tj_ms: int) -> SampleCounts:
-    """Exact sample counts over one hyperperiod lcm(ti, tj)."""
-    lcm = math.lcm(ti_ms, tj_ms)
-    gcd = math.gcd(ti_ms, tj_ms)
-    return SampleCounts(lcm // gcd, lcm // ti_ms, lcm // tj_ms)
-
-
-class _Member(Protocol):
-    """What :func:`admit` reads of a demand."""
-
-    period_ms: int
-    sensitivity_ms: int | None
-
-
-class _Request(NamedTuple):
-    """One side of :func:`decide_pair`: a bare (period, tolerance) pair."""
-
-    period_ms: int
-    sensitivity_ms: int | None
-
-
 def _effective_sensitivity(
-    members: Sequence[_Member], candidate_period_ms: int
+    members: Sequence[KpiDemand], candidate_period_ms: int
 ) -> int | None:
     """Tolerance of a side treated as the slower side of a merge.
 
@@ -141,17 +111,16 @@ def _effective_sensitivity(
 
 def admit(
     a_period_ms: int,
-    a_members: Sequence[_Member],
+    a_members: Sequence[KpiDemand],
     b_period_ms: int,
-    b_members: Sequence[_Member],
+    b_members: Sequence[KpiDemand],
 ) -> tuple[DecisionKind, int | None]:
     """Decide whether one stream can serve two sides, and at which period.
 
-    A side is a stream period plus the demands it serves (anything with
-    ``period_ms`` and ``sensitivity_ms``). Returns the decision and the
-    period of the shared stream, or ``(DUPLICATE, None)`` when both
-    streams must be kept. The tolerance of the slower side gates the
-    shared-stream option for non-divisible periods. The gcd test compares
+    A side is a stream period plus the demands it serves. Returns the
+    decision and the period of the shared stream, or ``(DUPLICATE, None)``
+    when both streams must be kept. The tolerance of the slower side gates
+    the shared-stream option for non-divisible periods. The gcd test compares
     one merged stream against serving every member at its own requested
     period, over the hyperperiod of all member periods.
     """
@@ -172,42 +141,6 @@ def admit(
     if hyper // gcd < sum(hyper // p for p in periods):
         return DecisionKind.GCD_MERGE, gcd
     return DecisionKind.DUPLICATE, None
-
-
-@dataclass(frozen=True)
-class MergeDecision:
-    """Outcome of comparing two report-period requests for one KPI.
-
-    ``staleness_ms`` is set whenever the periods were not divisible;
-    ``counts`` is set whenever the sample-count comparison ran.
-    ``chosen_period_ms`` is absent for DUPLICATE (both streams kept).
-    """
-
-    kind: DecisionKind
-    chosen_period_ms: int | None
-    staleness_ms: int | None = None
-    counts: SampleCounts | None = None
-
-
-def decide_pair(
-    existing: tuple[int, int | None], incoming: tuple[int, int | None]
-) -> MergeDecision:
-    """Decide how to serve two demands for the same (node, KPI).
-
-    Each side is a (period_ms, sensitivity_ms) pair; the sensitivity of
-    the slower side gates the shared-stream option for non-divisible
-    periods. A missing sensitivity means no tolerance was declared.
-    """
-    ti, tj = existing[0], incoming[0]
-    kind, period = admit(ti, [_Request(*existing)], tj, [_Request(*incoming)])
-    counted = kind is DecisionKind.GCD_MERGE or kind is DecisionKind.DUPLICATE
-    return MergeDecision(
-        kind,
-        period,
-        # Zero exactly when one period divides the other.
-        max_staleness(ti, tj) or None,
-        sample_counts(ti, tj) if counted else None,
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -66,6 +66,8 @@ def calibrate(points: Iterable[MeasurementPoint]) -> PowerModel:
     if len(points) < 2 or len(set(rates)) < 2:
         raise ValueError("calibration needs at least two points with distinct rates")
     fit = statistics.linear_regression(rates, watts)
+    if fit.intercept < 0:
+        raise ValueError(f"fitted static power is negative: {fit.intercept} W")
     return PowerModel(
         p_cpu_static_watts=min(DEFAULT_CPU_STATIC_WATTS, fit.intercept),
         p_ric_static_watts=fit.intercept,

@@ -728,6 +728,7 @@ class XAppClient:
         self._stopping = threading.Event()
         self._replies: "list[SubscribeReply]" = []
         self._reply_ready = threading.Condition()
+        self._reader_ended = False  # set, under _reply_ready, when the reader stops
         self.received_messages = 0
         self.received_samples = 0
         self.samples_per_kpi: dict[str, int] = {}
@@ -748,10 +749,10 @@ class XAppClient:
     def subscribe(self, node: int, items: tuple[SubscriptionItem, ...]) -> SubscribeReply:
         """Send one subscribe and wait for its reply.
 
-        Raises ``ConnectionError`` at once when the subscribe cannot be sent.
-        On ``TimeoutError`` the connection is closed: whether the broker
-        applied the subscribe is unknown, and a late reply must not answer
-        a later call.
+        Raises ``ConnectionError`` at once when the subscribe cannot be sent
+        or the connection ends before the reply. On ``TimeoutError`` the
+        connection is closed: whether the broker applied the subscribe is
+        unknown, and a late reply must not answer a later call.
         """
         if self._peer is None:
             raise RuntimeError("not connected")
@@ -760,6 +761,8 @@ class XAppClient:
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         with self._reply_ready:
             while not self._replies:
+                if self._reader_ended:
+                    raise ConnectionError(f"no subscription reply: {self._peer.reason}")
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self._peer.close()
@@ -789,5 +792,8 @@ class XAppClient:
                 self.emit_times.append(msg.emit_time_ms)
                 for kpi, _ in msg.samples:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
+        with self._reply_ready:
+            self._reader_ended = True
+            self._reply_ready.notify()
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
         logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, peer.reason)

@@ -24,13 +24,12 @@ from ricmerge.merge import (
     MergeState,
     PlanClass,
     StreamChange,
-    decide_pair,
+    admit,
     max_staleness,
-    sample_counts,
 )
 from ricmerge.power import PowerModel
 from ricmerge.scenario import DedupMode, ScenarioSpec, compare
-from ricmerge.sim import SimConfig, run as sim_run, staleness_oracle
+from ricmerge.sim import SimConfig, _ticks, run as sim_run, staleness_oracle
 from ricmerge.wire import Broker, Indication, NodeEmulator, XAppClient, encode
 
 MODEL = PowerModel()
@@ -167,16 +166,17 @@ def test_criterion_5_sample_counts_match_enumeration():
     for ti in range(1, 201):
         for tj in range(ti, 201):
             lcm, gcd = math.lcm(ti, tj), math.gcd(ti, tj)
-            counts = sample_counts(ti, tj)
-            assert counts == (
+            merged, first, second = (_ticks(period, lcm) for period in (gcd, ti, tj))
+            assert (merged, first, second) == (
                 enumerated_ticks(lcm, gcd),
                 enumerated_ticks(lcm, ti),
                 enumerated_ticks(lcm, tj),
             )
-            assert sample_counts(tj, ti) == (counts.merged, counts.second, counts.first)
             if ti % tj and tj % ti:
-                assert counts.merged >= counts.first + counts.second
-                assert decide_pair((ti, None), (tj, None)).kind is DecisionKind.DUPLICATE
+                assert merged >= first + second
+                di, dj = [KpiDemand(0, 0, "a", ti)], [KpiDemand(1, 0, "a", tj)]
+                assert admit(ti, di, tj, dj)[0] is DecisionKind.DUPLICATE
+                assert admit(tj, dj, ti, di)[0] is DecisionKind.DUPLICATE
     # Literal walk over the tick grids for windows small enough to afford it.
     for ti in range(1, 41):
         for tj in range(ti, 41):
@@ -199,10 +199,9 @@ def test_criterion_6_branch_coverage():
     assert [s.period_ms for s in plan.streams] == [1]
     assert set(plan.fanout) == {0, 1, 2}
 
-    decision = decide_pair((10, None), (15, 6))
-    assert decision.kind is DecisionKind.MIN_PERIOD
-    assert decision.chosen_period_ms == 10
-    assert decision.staleness_ms == 5
+    d10, d15_tol6 = KpiDemand(1, 0, "a", 10), KpiDemand(2, 0, "a", 15, 6)
+    assert admit(10, [d10], 15, [d15_tol6]) == (DecisionKind.MIN_PERIOD, 10)
+    assert max_staleness(10, 15) == 5
 
     state = MergeState()
     state.add_demand(KpiDemand(1, 0, "a", 10))

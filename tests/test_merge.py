@@ -14,27 +14,19 @@ from ricmerge.merge import (
     DecisionKind,
     DuplicateDemandError,
     Fold,
-    MergeDecision,
     MergeState,
     PlanClass,
     PlanEdit,
-    SampleCounts,
     StreamChange,
     StreamSpec,
     TransmissionPlan,
     UnknownDemandError,
+    admit,
     classes_sample_rate,
-    decide_pair,
     fed_at,
     max_staleness,
-    sample_counts,
 )
 from ricmerge.sim import staleness_oracle
-
-
-def count_ticks(window_ms, period_ms):
-    """Emission instants 0, T, 2T, ... inside [0, window)."""
-    return sum(1 for _ in range(0, window_ms, period_ms))
 
 
 class TestMaxStaleness:
@@ -58,73 +50,47 @@ class TestMaxStaleness:
         assert max_staleness(ti, tj) == staleness_oracle(min(ti, tj), max(ti, tj))
 
 
-class TestSampleCounts:
-    # Frozen from tick enumeration in [0, 30) at 5/10/15 and [0, 12) at 2/4/6.
-    @pytest.mark.parametrize(
-        "ti,tj,expected",
-        [(10, 15, (6, 3, 2)), (10, 10, (1, 1, 1)), (4, 6, (6, 3, 2))],
-    )
-    def test_frozen_enumeration_values(self, ti, tj, expected):
-        lcm, gcd = math.lcm(ti, tj), math.gcd(ti, tj)
-        enumerated = (count_ticks(lcm, gcd), count_ticks(lcm, ti), count_ticks(lcm, tj))
-        assert enumerated == expected
-        assert sample_counts(ti, tj) == SampleCounts(*expected)
-
-    def test_matches_enumeration_small_range(self):
-        for ti in range(1, 41):
-            for tj in range(1, 41):
-                lcm, gcd = math.lcm(ti, tj), math.gcd(ti, tj)
-                assert sample_counts(ti, tj) == (
-                    count_ticks(lcm, gcd),
-                    count_ticks(lcm, ti),
-                    count_ticks(lcm, tj),
-                )
+def admit_pair(existing, incoming):
+    """:func:`admit` over two single-demand sides, each a (period, tolerance)."""
+    (ti, si), (tj, sj) = existing, incoming
+    return admit(ti, [KpiDemand(0, 0, "a", ti, si)], tj, [KpiDemand(1, 0, "a", tj, sj)])
 
 
 class TestDecidePair:
     def test_divisible_shares_faster_stream(self):
-        decision = decide_pair((10, None), (20, None))
-        assert decision.kind is DecisionKind.MIN_PERIOD
-        assert decision.chosen_period_ms == 10
+        assert admit_pair((10, None), (20, None)) == (DecisionKind.MIN_PERIOD, 10)
 
     def test_tolerated_staleness_shares_faster_stream(self):
-        decision = decide_pair((10, None), (15, 6))
-        assert decision.kind is DecisionKind.MIN_PERIOD
-        assert decision.chosen_period_ms == 10
-        assert decision.staleness_ms == 5
+        assert admit_pair((10, None), (15, 6)) == (DecisionKind.MIN_PERIOD, 10)
+        assert max_staleness(10, 15) == 5
 
     def test_strict_tolerance_comparison_falls_through(self):
-        decision = decide_pair((10, None), (15, 5))
-        assert decision.kind is DecisionKind.DUPLICATE
-        assert decision.chosen_period_ms is None
-        assert decision.staleness_ms == 5
-        assert decision.counts == SampleCounts(6, 3, 2)
+        assert admit_pair((10, None), (15, 5)) == (DecisionKind.DUPLICATE, None)
+        assert max_staleness(10, 15) == 5
 
     def test_equal_periods_dedup(self):
-        decision = decide_pair((10, None), (10, None))
-        assert decision.kind is DecisionKind.DEDUP
-        assert decision.chosen_period_ms == 10
+        assert admit_pair((10, None), (10, None)) == (DecisionKind.DEDUP, 10)
 
     def test_slower_existing_side_uses_its_own_tolerance(self):
-        assert decide_pair((15, 6), (10, None)).kind is DecisionKind.MIN_PERIOD
-        assert decide_pair((15, None), (10, 6)).kind is DecisionKind.DUPLICATE
+        assert admit_pair((15, 6), (10, None))[0] is DecisionKind.MIN_PERIOD
+        assert admit_pair((15, None), (10, 6))[0] is DecisionKind.DUPLICATE
 
     def test_two_demands_never_gcd_merge(self):
         for ti in range(1, 81):
             for tj in range(1, 81):
-                decision = decide_pair((ti, None), (tj, None))
-                assert decision.kind is not DecisionKind.GCD_MERGE
-                if decision.counts is not None:
-                    merged, first, second = decision.counts
-                    assert merged >= first + second
+                kind, _ = admit_pair((ti, None), (tj, None))
+                assert kind is not DecisionKind.GCD_MERGE
+                if kind is DecisionKind.DUPLICATE:
+                    hyper = math.lcm(ti, tj)
+                    assert hyper // math.gcd(ti, tj) >= hyper // ti + hyper // tj
 
     @given(st.integers(1, 10_000), st.integers(1, 10_000))
     def test_decision_invariants(self, ti, tj):
-        decision = decide_pair((ti, None), (tj, None))
-        if decision.kind is DecisionKind.MIN_PERIOD:
-            assert decision.chosen_period_ms == min(ti, tj)
-        if decision.kind is DecisionKind.DEDUP:
-            assert decision.chosen_period_ms == ti == tj
+        kind, period = admit_pair((ti, None), (tj, None))
+        if kind is DecisionKind.MIN_PERIOD:
+            assert period == min(ti, tj)
+        if kind is DecisionKind.DEDUP:
+            assert period == ti == tj
 
 
 def demand(xapp, period, sens=None, node=0, kpi="a"):
@@ -484,17 +450,16 @@ def reference_decide_pair(existing, incoming):
     ti, si = existing
     tj, sj = incoming
     if ti == tj:
-        return MergeDecision(DecisionKind.DEDUP, ti)
+        return DecisionKind.DEDUP, ti
     if ti % tj == 0 or tj % ti == 0:
-        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj))
-    staleness = max_staleness(ti, tj)
+        return DecisionKind.MIN_PERIOD, min(ti, tj)
     slow_sensitivity = si if ti > tj else sj
-    if slow_sensitivity is not None and staleness < slow_sensitivity:
-        return MergeDecision(DecisionKind.MIN_PERIOD, min(ti, tj), staleness)
-    counts = sample_counts(ti, tj)
-    if counts.merged < counts.first + counts.second:
-        return MergeDecision(DecisionKind.GCD_MERGE, math.gcd(ti, tj), staleness, counts)
-    return MergeDecision(DecisionKind.DUPLICATE, None, staleness, counts)
+    if slow_sensitivity is not None and max_staleness(ti, tj) < slow_sensitivity:
+        return DecisionKind.MIN_PERIOD, min(ti, tj)
+    hyper, gcd = math.lcm(ti, tj), math.gcd(ti, tj)
+    if hyper // gcd < hyper // ti + hyper // tj:
+        return DecisionKind.GCD_MERGE, gcd
+    return DecisionKind.DUPLICATE, None
 
 
 def reference_effective_sensitivity(stream, candidate_period_ms):
@@ -634,7 +599,7 @@ def test_decide_pair_matches_reference():
             for si in tolerances:
                 for sj in tolerances:
                     pair = ((ti, si), (tj, sj))
-                    assert decide_pair(*pair) == reference_decide_pair(*pair), pair
+                    assert admit_pair(*pair) == reference_decide_pair(*pair), pair
 
 
 def test_engine_matches_reference_fold():

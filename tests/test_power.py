@@ -44,6 +44,11 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate([MeasurementPoint(10, 34.5), MeasurementPoint(10, 35.0)])
 
+    def test_negative_fitted_static_power_named(self):
+        points = [MeasurementPoint(1000, 1), MeasurementPoint(2000, 100)]
+        with pytest.raises(ValueError, match=r"^fitted static power is negative: -98\.0 W$"):
+            calibrate(points)
+
     def test_exact_linear_points_recovered(self):
         slope, intercept = 3.3e-4, 30.0
         points = [

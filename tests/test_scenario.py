@@ -6,7 +6,12 @@ from dataclasses import replace
 import pytest
 
 from ricmerge import scenario
-from ricmerge.e2model import decompose, request_fingerprint
+from ricmerge.e2model import (
+    SubscriptionItem,
+    SubscriptionRequest,
+    decompose,
+    request_fingerprint,
+)
 from ricmerge.merge import Fold, PlanClass, classes_sample_rate
 from ricmerge.power import PowerModel
 from ricmerge.scenario import (
@@ -244,7 +249,30 @@ def _tally_corpus(count=40, seed=15):
     return cases
 
 
-TALLY_CORPUS = _tally_corpus()
+def _single_kpi(*items):
+    """One request per item, xApp ids in item order, all for KPI ``a`` on node 0."""
+    return [SubscriptionRequest(xapp, 0, (item,)) for xapp, item in enumerate(items)]
+
+
+# ``build`` gives every duplicate its baseline period, so no generated
+# scenario retimes a stream. These cases reach the tolerance branch (10 ms
+# and 15 ms with tolerance 6 share the 10 ms stream) and the gcd branch
+# (2, 3 and 4 ms share one 1 ms stream).
+RETIMED_CASES = [
+    (_single_kpi(SubscriptionItem("a", 10), SubscriptionItem("a", 15, 6)), SIM),
+    (
+        _single_kpi(*(SubscriptionItem("a", period) for period in (2, 3, 4))),
+        SimConfig(horizon_ms=100, header_bytes=12, batching=Batching.PER_STREAM),
+    ),
+]
+
+TALLY_CORPUS = _tally_corpus() + RETIMED_CASES
+
+
+def test_retimed_cases_merge_below_whole_request():
+    for requests, sim_cfg in RETIMED_CASES:
+        rates = dict(zip(MODE_ORDER, (t[0] for t in reference_tally(requests, sim_cfg))))
+        assert rates[DedupMode.PER_KPI_MERGE] < rates[DedupMode.WHOLE_REQUEST]
 
 
 # Reference baselines: the two layouts as they stood when each mode had

@@ -11,7 +11,6 @@ from ricmerge.merge import (
     PlanClass,
     StreamSpec,
     TransmissionPlan,
-    sample_counts,
 )
 from ricmerge.sim import (
     Batching,
@@ -272,10 +271,9 @@ def test_counts_over_one_hyperperiod_match_pairwise_counts(ti, tj):
         KpiDemand(1, 2, "m", tj),
     ]
     report = run(plan_classes(plans), demands, SimConfig(horizon_ms=hyper))
-    counts = sample_counts(ti, tj)
-    assert report.per_stream_sample_counts[StreamSpec(0, "m", gcd)] == counts.merged
-    assert report.per_stream_sample_counts[StreamSpec(1, "m", ti)] == counts.first
-    assert report.per_stream_sample_counts[StreamSpec(2, "m", tj)] == counts.second
+    assert report.per_stream_sample_counts[StreamSpec(0, "m", gcd)] == hyper // gcd
+    assert report.per_stream_sample_counts[StreamSpec(1, "m", ti)] == hyper // ti
+    assert report.per_stream_sample_counts[StreamSpec(2, "m", tj)] == hyper // tj
 
 
 MAX_HORIZON = 5000

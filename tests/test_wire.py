@@ -710,6 +710,34 @@ class TestLiveMode:
             listener.close()
         assert not thread.is_alive()
 
+    def test_a_broker_that_closes_fails_the_subscribe_at_once(self, monkeypatch):
+        """The broker closes without a reply (as it does after a malformed
+        frame or on stop): the waiting subscribe fails with the reader's
+        reason instead of waiting out the reply timeout."""
+        monkeypatch.setattr(wire, "REPLY_TIMEOUT_S", 5.0)
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def read_and_close():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                read_frame(conn)
+
+        thread = threading.Thread(target=read_and_close, name="closing-broker")
+        thread.start()
+        client = XAppClient(*listener.getsockname(), 1)
+        try:
+            client.connect()
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="no subscription reply: connection closed"):
+                client.subscribe(3, (SubscriptionItem("a", 10),))
+            assert time.monotonic() - started < 1
+        finally:
+            client.close()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+
     @pytest.mark.parametrize(
         "reply, cause",
         [
