@@ -68,6 +68,8 @@ def calibrate(points: Iterable[MeasurementPoint]) -> PowerModel:
     fit = statistics.linear_regression(rates, watts)
     if fit.intercept < 0:
         raise ValueError(f"fitted static power is negative: {fit.intercept} W")
+    if fit.slope < 0:
+        raise ValueError(f"fitted watts per sample rate is negative: {fit.slope}")
     return PowerModel(
         p_cpu_static_watts=min(DEFAULT_CPU_STATIC_WATTS, fit.intercept),
         p_ric_static_watts=fit.intercept,

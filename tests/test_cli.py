@@ -209,6 +209,15 @@ class TestSweep:
         assert code == 0
         assert out == (GOLDEN / "sweep_redundancy_small.csv").read_text()
 
+    def test_mixed_redundancy_sweep_matches_golden(self, capsys):
+        """Period-mix rows, a per-xApp tolerance and, at 0.9, duplicates
+        past the one-KPI-per-node cap."""
+        code, out, _ = run_cli(
+            capsys, "sweep", REPO / "configs" / "mixed.cfg", "--axis", "redundancy"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "sweep_redundancy_mixed.csv").read_text()
+
     def test_redundancy_sweep_emits_all_modes(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -49,6 +49,13 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=r"^fitted static power is negative: -98\.0 W$"):
             calibrate(points)
 
+    def test_negative_fitted_slope_named(self):
+        points = [MeasurementPoint(0, 100), MeasurementPoint(1000, 50)]
+        with pytest.raises(
+            ValueError, match=r"^fitted watts per sample rate is negative: -0\.05$"
+        ):
+            calibrate(points)
+
     def test_exact_linear_points_recovered(self):
         slope, intercept = 3.3e-4, 30.0
         points = [

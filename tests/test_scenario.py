@@ -1,6 +1,9 @@
 import collections
+import functools
+import itertools
 import pathlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -114,6 +117,101 @@ class TestBuild:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ScenarioSpec(1, 1, period_mix=((10, 0.5), (20, 0.4)))
+
+
+def reference_build(spec):
+    """``scenario.build`` as it was when it kept a table of periods keyed
+    by (node, KPI) and shuffled a pool of (node, KPI) tuples."""
+    rng = random.Random(spec.seed)
+    kpis = [scenario._kpi_name(k) for k in range(spec.kpis_per_node)]
+    item = functools.cache(SubscriptionItem)
+
+    periods = {}
+    for node in range(spec.nodes):
+        for kpi in kpis:
+            if spec.period_mix is None:
+                periods[(node, kpi)] = spec.period_ms
+            else:
+                choices, weights = zip(*spec.period_mix)
+                periods[(node, kpi)] = rng.choices(choices, weights)[0]
+
+    requests = []
+    base_tolerance = spec.sensitivity.tolerance_for(scenario.BASE_XAPP)
+    for node in range(spec.nodes):
+        items = tuple(item(kpi, periods[(node, kpi)], base_tolerance) for kpi in kpis)
+        requests.append(SubscriptionRequest(scenario.BASE_XAPP, node, items))
+
+    total = spec.nodes * spec.kpis_per_node
+    wanted = round(spec.redundancy_fraction * total)
+    if wanted == 0:
+        return requests
+    cap = spec.kpis_per_node - 1 if spec.kpis_per_node > 1 else 1
+    pool = [(node, kpi) for node in range(spec.nodes) for kpi in kpis]
+    rng.shuffle(pool)
+    taken_per_node = [0] * spec.nodes
+    duplicated = []
+    overflow = []
+    for node, kpi in pool:
+        if taken_per_node[node] < cap:
+            taken_per_node[node] += 1
+            duplicated.append((node, kpi))
+        else:
+            overflow.append((node, kpi))
+    duplicated = (duplicated + overflow)[:wanted]
+
+    dup_tolerance = spec.sensitivity.tolerance_for(scenario.DUPLICATE_XAPP)
+    dup_by_node = {}
+    for node, kpi in duplicated:
+        dup_by_node.setdefault(node, []).append(kpi)
+    for node in sorted(dup_by_node):
+        chosen = sorted(dup_by_node[node], reverse=True)
+        items = tuple(item(kpi, periods[(node, kpi)], dup_tolerance) for kpi in chosen)
+        requests.append(SubscriptionRequest(scenario.DUPLICATE_XAPP, node, items))
+    return requests
+
+
+def _build_corpus():
+    """Specs that reach both the one-KPI-per-node cap and the overflow
+    past it, with and without a period mix, plus one node whose KPI names
+    stop sorting in index order (``KPI10000`` < ``KPI1001``)."""
+    tolerance = SensitivityPolicy(per_xapp=((1, 25),))
+    mixed = ((10, 0.4), (20, 0.3), (30, 0.2), (50, 0.1))
+    for nodes, kpis, redundancy, mix, seed in itertools.product(
+        (1, 3, 12),
+        (1, 2, 8, 101),
+        (0, 0.05, 0.37, 0.6, 0.9, 1.0),
+        (None, mixed, ((7, 0.5), (13, 0.5))),
+        (0, 6),
+    ):
+        yield ScenarioSpec(nodes, kpis, redundancy_fraction=redundancy, period_mix=mix,
+                           sensitivity=tolerance, seed=seed)
+    yield ScenarioSpec(1, 10_001, redundancy_fraction=0.5, sensitivity=tolerance, seed=6)
+
+
+def test_build_matches_reference_build():
+    overflowed = 0
+    for spec in _build_corpus():
+        requests = build(spec)
+        # Dataclass equality compares the xApp, the node and every item field.
+        assert requests == reference_build(spec), spec
+        duplicates = [r for r in requests if r.xapp == scenario.DUPLICATE_XAPP]
+        overflowed += any(len(r.items) == spec.kpis_per_node > 1 for r in duplicates)
+    assert overflowed > 0
+
+
+def test_build_keeps_no_table_per_node_and_kpi():
+    """Beyond the requests it returns, building ``large.cfg``'s 57,000
+    demands allocates well under the 6.8 MB that a (node, KPI) period
+    table and a pool of (node, KPI) tuples took."""
+    spec = ScenarioSpec(300, 100, redundancy_fraction=0.9, seed=3)
+    tracemalloc.start()
+    try:
+        requests = build(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(requests) == 600
+    assert peak - kept < 1_000_000
 
 
 class TestCompare:
