@@ -4,7 +4,8 @@ A subscription names an E2 node, the KPIs to report, a report period per
 KPI, and an optional staleness tolerance per KPI. Requests decompose into
 per-KPI demands, the unit the merge engine works on. The module also
 provides the whole-request fingerprint used by the legacy deduplication
-baseline, which only recognizes byte-identical request content.
+baseline, which only recognizes byte-identical request content: the
+fingerprint is the canonical serialization itself, not a digest of it.
 
 Canonical serialization layout (bit-exact across implementations):
 integers are 8-byte big-endian unsigned, strings are an 8-byte big-endian
@@ -16,7 +17,6 @@ for the canonical form and the live-mode wire messages alike.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -184,9 +184,11 @@ def canonical_bytes(request: SubscriptionRequest) -> bytes:
 
 
 def request_fingerprint(request: SubscriptionRequest) -> bytes:
-    """Fixed-width digest of the canonical serialization.
+    """The whole-request dedup key: the canonical serialization itself.
 
-    Only digest equality is ever used; equal digests identify
-    byte-identical canonical forms.
+    Only key equality is ever used, and equal keys are byte-identical
+    canonical forms, with no collisions. Keying on the bytes rather than
+    a digest of them keeps ``hashlib``, and with it OpenSSL's libcrypto,
+    out of every ricmerge process.
     """
-    return hashlib.sha256(canonical_bytes(request)).digest()
+    return canonical_bytes(request)

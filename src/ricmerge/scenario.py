@@ -3,7 +3,7 @@
 A scenario describes a deployment (nodes, KPIs per node, period mix) and
 a controlled amount of redundancy: for a fraction of the KPI streams a
 second xApp requests an exact duplicate, buried inside a request that
-differs from the first xApp's in its other items. Whole-request hashing
+differs from the first xApp's in its other items. Whole-request dedup
 therefore cannot see the overlap, while per-KPI merging removes it.
 
 ``compare`` runs the same demand set through three modes (no dedup,
@@ -157,14 +157,14 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     One baseline request per node covers every KPI of that node. A
     fraction ``redundancy_fraction`` of all streams is then duplicated
     by a second xApp; its per-node requests list only the duplicated
-    KPIs (in reverse order), so they never hash equal to the baseline
+    KPIs (in reverse order), so they never key equal to the baseline
     request unless a node has a single KPI that is fully duplicated.
     Items are frozen, so one item per distinct (KPI, period, tolerance)
     serves every node that lists it. No table per (node, KPI) is kept:
     each node's periods are drawn as one row, the duplicates are marked
     by flat slot (``node * kpis_per_node + k``) and a duplicate copies
-    its baseline item's period, so ``ricmerge run configs/large.cfg``
-    peaks at 23.5 MB of RSS instead of the 29.6 MB its build used to set.
+    its baseline item's period, so the tally, not ``build``, sets the
+    peak memory of ``ricmerge run configs/large.cfg``.
     """
     rng = random.Random(spec.seed)
     per_node = spec.kpis_per_node
@@ -191,7 +191,7 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
     # Prefer keeping one KPI per node out of the duplicate set so the
     # duplicating request stays a strict subset of the baseline one; the
     # reversed item order below keeps even a full-node duplicate from
-    # hashing equal (except for degenerate single-item requests).
+    # keying equal (except for degenerate single-item requests).
     cap = per_node - 1 if per_node > 1 else 1
     pool = array.array("q", range(total))
     rng.shuffle(pool)

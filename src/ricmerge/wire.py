@@ -426,7 +426,11 @@ class Broker:
         while not self._stopping.is_set():
             try:
                 sock, addr = listener.accept()
-            except OSError:
+            except ConnectionAbortedError:
+                continue  # the client gave up before it was accepted
+            except OSError as exc:
+                if not self._stopping.is_set():
+                    logger.warning("broker stopped accepting connections: %s", exc)
                 break
             peer = _Peer(sock)
             with self._lock:  # held until registered: the connection's cleanup takes it

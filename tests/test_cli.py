@@ -22,6 +22,21 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def run_in_fresh_interpreter(probe: str) -> str:
+    """Run ``probe`` in a new interpreter that imports ricmerge from the
+    checkout; return its standard output."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -104,17 +119,19 @@ class TestRun:
 
     def test_importing_the_cli_leaves_wire_unloaded(self):
         """Only the live roles import ``wire``; ``run`` and ``sweep`` never need it."""
-        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         probe = "import sys, ricmerge.cli; print('ricmerge.wire' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=60,
+        assert run_in_fresh_interpreter(probe) == "False\n"
+
+    def test_no_module_loads_openssl(self):
+        """Whole-request dedup keys on the canonical bytes, so neither a
+        batch run nor the live roles import ``hashlib`` and its libcrypto."""
+        config = str(REPO / "configs" / "small.cfg")
+        out = run_in_fresh_interpreter(
+            "import sys, ricmerge.cli, ricmerge.wire\n"
+            f"code = ricmerge.cli.main(['run', {config!r}])\n"
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert out.splitlines()[-1] == "0 []"
 
 
 class TestTraceHooks:

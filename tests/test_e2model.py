@@ -61,6 +61,7 @@ class TestFingerprint:
             "0000000000000002" "6162" "000000000000000a" "00"  # ab, 10 ms, no tolerance
             "0000000000000001" "63" "0000000000000014" "01" "0000000000000005"  # c, 20, 5
         )
+        assert request_fingerprint(req) == canonical_bytes(req)
 
 
 kpi_names = st.text(

@@ -1,3 +1,4 @@
+import errno
 import logging
 import random
 import socket
@@ -220,6 +221,28 @@ class TestBrokerLifecycle:
         finally:
             broker.stop()
 
+    def test_accept_loop_outlives_an_aborted_accept_and_logs_why_it_ends(self, caplog):
+        caplog.set_level(logging.INFO, logger="ricmerge.wire")
+        broker = Broker()
+        served, client = socket.socketpair()
+        listener = StubListener(
+            ConnectionAbortedError(errno.ECONNABORTED, "Software caused connection abort"),
+            (served, "socketpair"),
+            OSError(errno.EMFILE, "Too many open files"),
+        )
+        try:
+            broker._accept_loop(listener)
+            client.settimeout(5)
+            client.sendall(encode(SetupRequest(4)))
+            assert decode(read_frame(client)) == SetupResponse(4, True)
+        finally:
+            broker.stop()
+            served.close()
+            client.close()
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "stopped accepting connections" in record.getMessage()
+        assert "Too many open files" in record.getMessage()
+
     def test_address_before_start_raises(self):
         with pytest.raises(RuntimeError, match="broker not started"):
             Broker().address
@@ -231,6 +254,20 @@ class TestBrokerLifecycle:
     def test_unsubscribe_before_connect_raises(self):
         with pytest.raises(RuntimeError, match="not connected"):
             XAppClient("127.0.0.1", 1, 1).unsubscribe(1, (("a", 10),))
+
+
+class StubListener:
+    """Stands in for the broker's listening socket: each ``accept()``
+    returns the next outcome, or raises it if it is an exception."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+
+    def accept(self):
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
 
 class FakePeer:
