@@ -5,7 +5,8 @@ Subcommands: ``run`` (one scenario comparison), ``sweep`` (one axis),
 roles ``broker``, ``node``, ``xapp``, run until Ctrl-C or ``--duration``.
 Results go to stdout or ``--out`` as CSV or JSON, byte-identical for
 identical invocations. Exit code 2 means a bad config, input or output
-file, 1 a live role that could not listen, connect, set up or subscribe.
+file, 1 a live role that could not listen, connect, set up or subscribe,
+or a broker that stopped accepting connections.
 Only the live roles import ``wire``, so the batch commands never load
 the socket, thread and broker code.
 """
@@ -17,7 +18,7 @@ import json
 import logging
 import math
 import sys
-import time
+import threading
 from dataclasses import replace
 
 from . import scenario
@@ -135,14 +136,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run(start, stop, duration_s: float | None = None) -> None:
-    """Call ``start``, wait ``duration_s`` seconds (until Ctrl-C when None),
-    then call ``stop``, also when ``start`` failed. Ctrl-C is not an error."""
+def _run(start, stop, duration_s: float | None = None, ended: threading.Event | None = None):
+    """Call ``start``, wait ``duration_s`` seconds or until ``ended`` is set
+    (until Ctrl-C when both are None), then call ``stop``, also when
+    ``start`` failed. Ctrl-C is not an error."""
     try:
         start()
-        while duration_s is None:
-            time.sleep(3600)
-        time.sleep(duration_s)
+        (ended or threading.Event()).wait(duration_s)
     except KeyboardInterrupt:
         pass
     finally:
@@ -154,7 +154,9 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
     model = scenario.load_config(args.config)[1] if args.config else None
     broker = wire.Broker(*_parse_address(args.listen), model, stats_interval_s=1.0)
-    _run(broker.start, broker.stop)
+    _run(broker.start, broker.stop, ended=broker.accept_ended)
+    if broker.accept_error is not None:
+        raise RuntimeError(f"broker stopped accepting connections: {broker.accept_error}")
     return 0
 
 

@@ -12,7 +12,7 @@ the power model and returns one ``SweepRow`` per mode. Each mode lays
 its streams out as classes (:class:`~ricmerge.merge.PlanClass`): a fold
 plus the (node, KPI) groups that share it, so the rate and the
 simulation cost what the distinct folds cost, and no per-group plan is
-built. The baseline modes key requests by fingerprint (whole-request
+built. The baseline modes key requests by node and items (whole-request
 dedup) or by place (no dedup), and send each key's first request's
 items as streams of their own, one class per (period, number of xApps
 fed); the merged mode takes the engine's classes. One mode is laid out
@@ -23,8 +23,8 @@ turns the totals into rows.
 
 Totals over requests on disjoint nodes add exactly: every kept figure is
 a sum over (node, KPI) groups or, for per-node messages, over nodes, and
-requests on disjoint nodes never share a stream (a request's fingerprint
-covers its node, and merge groups are keyed on (node, KPI)). So the
+requests on disjoint nodes never share a stream (a request's whole-request
+key covers its node, and merge groups are keyed on (node, KPI)). So the
 tally measures batches of whole nodes, each of at least
 ``_TALLY_DEMANDS`` demands, and adds their totals: only one batch's
 demands, layouts and sim state are alive at once.
@@ -221,13 +221,13 @@ def build(spec: ScenarioSpec) -> list[SubscriptionRequest]:
 def _baseline_classes(requests: list[SubscriptionRequest], share: bool) -> list[PlanClass]:
     """The classes of a baseline mode's streams, each sent on its own.
 
-    Requests are keyed by fingerprint when ``share`` (whole-request
+    Requests are keyed by node and items when ``share`` (whole-request
     dedup), else each by its place in the list (no dedup). Each key's
     first request sends one stream per item, which feeds the xApps of
     every request with that key in id order; the streams fall into one
     class per (period, number of xApps fed).
     """
-    kept: dict[bytes | int, tuple[SubscriptionRequest, set[XAppId]]] = {}
+    kept: dict[tuple | int, tuple[SubscriptionRequest, set[XAppId]]] = {}
     for index, request in enumerate(requests):
         key = request_fingerprint(request) if share else index
         kept.setdefault(key, (request, set()))[1].add(request.xapp)

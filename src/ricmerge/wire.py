@@ -4,13 +4,15 @@ Three roles exercise the merge engine over real sockets: a broker that
 owns the merge state, node emulators that emit KPI indications on
 wall-clock timers, and xApp clients that subscribe and consume.
 
-Frame layout: a 4-byte big-endian length (excluding itself), a 1-byte
-message kind, then the body. ``_LAYOUTS`` defines each kind's body from
-the primitives and row shapes of the domain model: 8-byte big-endian
-integers, length-prefixed UTF-8 strings, and a 1-byte presence flag for
-an item's optional staleness tolerance. The protocol is
-versioned by a byte in the setup request and is deliberately not
-interoperable with real RAN stacks (no ASN.1, no SCTP, no security).
+This module is the only code that reads or writes bytes. Frame layout:
+a 4-byte big-endian length (excluding itself), a 1-byte message kind,
+then the body. ``_LAYOUTS`` defines each kind's body from the primitives
+and row shapes below: 8-byte big-endian unsigned integers, strings as an
+8-byte big-endian length followed by UTF-8 bytes, and a 1-byte presence
+flag (0x00 absent, 0x01 present) before an item's optional staleness
+tolerance. The protocol is versioned by a byte in the setup request and
+is deliberately not interoperable with real RAN stacks (no ASN.1, no
+SCTP, no security).
 
 Subscription mutations are serialized through one broker-side lock, and
 every push to a node goes out under it: the setup reply and backlog, then
@@ -35,7 +37,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from . import e2model, power
+from . import power
 from .e2model import SubscriptionItem, SubscriptionRequest, decompose
 from .merge import ChangeAction, DuplicateDemandError, MergeState, UnknownDemandError, fed_at
 from .power import PowerModel
@@ -129,14 +131,72 @@ WireMessage = (
 )
 
 
+# Byte layout. Writers return bytes; readers take ``(data, pos)``, return
+# ``(value, next_pos)`` and raise ``struct.error`` past the end of ``data``.
+_U8 = struct.Struct(">B")
+_U64 = struct.Struct(">Q")
+pack_u64 = _U64.pack
+
+
+def read_u64(data: bytes, pos: int) -> tuple[int, int]:
+    return _U64.unpack_from(data, pos)[0], pos + 8
+
+
+def pack_name(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    return pack_u64(len(raw)) + raw
+
+
+def read_name(data: bytes, pos: int) -> tuple[str, int]:
+    """Raises ``UnicodeDecodeError``, a ``ValueError``, for bytes that are not UTF-8."""
+    length, pos = read_u64(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise struct.error("name runs past the end of the data")
+    return data[pos:end].decode("utf-8"), end
+
+
+def pack_optional_u64(value: int | None) -> bytes:
+    return b"\x00" if value is None else b"\x01" + pack_u64(value)
+
+
+def read_optional_u64(data: bytes, pos: int) -> tuple[int | None, int]:
+    (present,) = _U8.unpack_from(data, pos)
+    return read_u64(data, pos + 1) if present else (None, pos + 1)
+
+
+def pack_pair(pair: tuple[str, int]) -> bytes:
+    """A (name, u64) row, such as an indication's (KPI, sample time)."""
+    name, value = pair
+    return pack_name(name) + pack_u64(value)
+
+
+def read_pair(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
+    name, pos = read_name(data, pos)
+    value, pos = read_u64(data, pos)
+    return (name, value), pos
+
+
+def pack_item(item: SubscriptionItem) -> bytes:
+    """A subscription item: the (KPI, period) pair, then the optional tolerance."""
+    return pack_name(item.kpi) + pack_u64(item.period_ms) + pack_optional_u64(item.sensitivity_ms)
+
+
+def read_item(data: bytes, pos: int) -> tuple[SubscriptionItem, int]:
+    """Raises ``ValueError`` for an item that ``SubscriptionItem`` rejects."""
+    (kpi, period), pos = read_pair(data, pos)
+    tolerance, pos = read_optional_u64(data, pos)
+    return SubscriptionItem(kpi, period, tolerance), pos
+
+
 def _counted(write, read):
     """The row codec of a field that is a u64 row count, then the rows."""
 
     def write_rows(rows) -> bytes:
-        return e2model.pack_u64(len(rows)) + b"".join(map(write, rows))
+        return pack_u64(len(rows)) + b"".join(map(write, rows))
 
     def read_rows(data: bytes, pos: int):
-        count, pos = e2model.read_u64(data, pos)
+        count, pos = read_u64(data, pos)
         rows = []
         for _ in range(count):
             row, pos = read(data, pos)
@@ -146,14 +206,14 @@ def _counted(write, read):
     return write_rows, read_rows
 
 
-_NAME = (e2model.pack_name, e2model.read_name)
-_ITEMS = _counted(e2model.pack_item, e2model.read_item)
-_PAIRS = _counted(e2model.pack_pair, e2model.read_pair)
+_NAME = (pack_name, read_name)
+_ITEMS = _counted(pack_item, read_item)
+_PAIRS = _counted(pack_pair, read_pair)
 
 
 class _Layout:
     """One message kind: kind byte, class, the fixed fields in wire order as
-    ``"struct-code field, ..."`` (big-endian, like e2model's primitives), and
+    ``"struct-code field, ..."`` (big-endian, like the primitives above), and
     an optional trailing field with its ``(writer, reader)``."""
 
     def __init__(self, kind: int, cls: type, fixed: str, tail=None, codec=(None, None)) -> None:
@@ -179,13 +239,17 @@ _PREFIX = struct.Struct(">IB")  # frame length (excluding itself), kind
 
 
 def encode(msg: WireMessage) -> bytes:
-    """Full frame bytes: length prefix, kind tag, body."""
+    """Full frame bytes: length prefix, kind tag, body. Raises :class:`CodecError`
+    for a field that does not fit its wire type, such as an id of 2**64."""
     layout = _BY_CLASS.get(type(msg))
     if layout is None:
         raise CodecError(f"not a wire message: {type(msg).__name__}")
-    body = layout.head.pack(*[getattr(msg, name) for name in layout.fields])
-    if layout.tail:
-        body += layout.write(getattr(msg, layout.tail))
+    try:
+        body = layout.head.pack(*[getattr(msg, name) for name in layout.fields])
+        if layout.tail:
+            body += layout.write(getattr(msg, layout.tail))
+    except struct.error as exc:
+        raise CodecError(f"{type(msg).__name__} field does not fit its wire type: {exc}") from None
     length = 1 + len(body)
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large: {length} bytes")
@@ -362,6 +426,9 @@ class Broker:
         # Every open connection, from accept until its thread ends.
         self._conns: dict[_Peer, threading.Thread] = {}
         self._stopping = threading.Event()
+        # Set when the accept thread ends; ``accept_error`` is why, unless stopped.
+        self.accept_ended = threading.Event()
+        self.accept_error: OSError | None = None
         self._lock = threading.Lock()  # serializes all subscription mutations
         self._engine = MergeState()
         self._nodes: dict[int, _Peer] = {}
@@ -423,18 +490,22 @@ class Broker:
         ]
 
     def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, addr = listener.accept()
-            except ConnectionAbortedError:
-                continue  # the client gave up before it was accepted
-            except OSError as exc:
-                if not self._stopping.is_set():
-                    logger.warning("broker stopped accepting connections: %s", exc)
-                break
-            peer = _Peer(sock)
-            with self._lock:  # held until registered: the connection's cleanup takes it
-                self._conns[peer] = _start(self._serve_connection, "broker-conn", peer, addr)
+        try:
+            while not self._stopping.is_set():
+                try:
+                    sock, addr = listener.accept()
+                except ConnectionAbortedError:
+                    continue  # the client gave up before it was accepted
+                except OSError as exc:
+                    if not self._stopping.is_set():
+                        self.accept_error = exc
+                        logger.warning("broker stopped accepting connections: %s", exc)
+                    break
+                peer = _Peer(sock)
+                with self._lock:  # held until registered: the connection's cleanup takes it
+                    self._conns[peer] = _start(self._serve_connection, "broker-conn", peer, addr)
+        finally:
+            self.accept_ended.set()
 
     def _stats_loop(self) -> None:
         while not self._stopping.wait(self._stats_interval):

@@ -1,4 +1,5 @@
 import collections
+import errno
 import itertools
 import json
 import os
@@ -112,6 +113,18 @@ class TestRun:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_tolerance_past_u64_runs(self, capsys, tmp_path):
+        """Whole-request keys are values, not bytes, so a tolerance that no
+        u64 field can hold still lays out."""
+        config = tmp_path / "wide.cfg"
+        config.write_text(
+            "[scenario]\nnodes = 2\nkpis_per_node = 2\nredundancy_fraction = 0.5\n"
+            "sensitivity = fixed:18446744073709551616\n"
+        )
+        code, out, err = run_cli(capsys, "run", config)
+        assert code == 0, err
+        assert len(out.splitlines()) == 1 + 3  # header, then one row per mode
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "x.cfg", "--bogus"])
@@ -123,7 +136,7 @@ class TestRun:
         assert run_in_fresh_interpreter(probe) == "False\n"
 
     def test_no_module_loads_openssl(self):
-        """Whole-request dedup keys on the canonical bytes, so neither a
+        """Whole-request dedup keys on the request's value, so neither a
         batch run nor the live roles import ``hashlib`` and its libcrypto."""
         config = str(REPO / "configs" / "small.cfg")
         out = run_in_fresh_interpreter(
@@ -234,6 +247,17 @@ class TestSweep:
         )
         assert code == 0
         assert out == (GOLDEN / "sweep_redundancy_mixed.csv").read_text()
+
+    def test_single_kpi_redundancy_sweep_matches_golden(self, capsys):
+        """One KPI per node and no tolerance: every duplicate request has the
+        content of its baseline, so whole-request dedup shares its streams."""
+        code, out, _ = run_cli(
+            capsys, "sweep", REPO / "configs" / "single_kpi.cfg", "--axis", "redundancy"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "sweep_redundancy_single_kpi.csv").read_text()
+        shared = [l for l in out.splitlines() if l.startswith("0.5,")]
+        assert [l.split(",")[2] for l in shared] == ["18", "12", "12"]
 
     def test_redundancy_sweep_emits_all_modes(self, capsys):
         code, out, _ = run_cli(
@@ -361,6 +385,23 @@ def error_lines(err):
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
+class EmfileListener:
+    """Stands in for the broker's listening socket when the process is out
+    of file descriptors: every ``accept()`` fails with EMFILE."""
+
+    def accept(self):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    def getsockname(self):
+        return ("127.0.0.1", 9)
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
 class TestLiveRoles:
     def test_xapp_prints_its_counters(self, capsys, tmp_path):
         broker = wire.Broker()
@@ -441,6 +482,22 @@ class TestLiveRoles:
         assert code == 1 and out == ""
         (line,) = error_lines(err)
         assert "Address already in use" in line and str(port) in line
+
+    def test_broker_that_stops_accepting_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(wire.socket, "create_server", lambda addr: EmfileListener())
+        results = []
+        role = threading.Thread(
+            target=lambda: results.append(run_cli(capsys, "broker", "--listen", "127.0.0.1:0")),
+            daemon=True,
+        )
+        role.start()
+        role.join(timeout=10)
+        assert not role.is_alive(), "broker kept running after its accept loop ended"
+        [(code, out, err)] = results
+        assert code == 1 and out == ""
+        assert error_lines(err) == [
+            "error: broker stopped accepting connections: [Errno 24] Too many open files"
+        ]
 
     def test_broker_process_logs_its_port_and_exits_0_on_sigint(self):
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))

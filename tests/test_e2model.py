@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ricmerge import wire
 from ricmerge.e2model import (
     DuplicateKpiError,
     SubscriptionItem,
     SubscriptionRequest,
-    canonical_bytes,
     decompose,
     request_fingerprint,
 )
@@ -54,14 +54,10 @@ class TestFingerprint:
         b = request(1, 1, [("a", 10, 1)])
         assert request_fingerprint(a) != request_fingerprint(b)
 
-    def test_canonical_bytes_are_pinned(self):
-        req = request(9, 2, [("ab", 10), ("c", 20, 5)])
-        assert canonical_bytes(req) == bytes.fromhex(
-            "0000000000000002"  # node; the xApp id is left out
-            "0000000000000002" "6162" "000000000000000a" "00"  # ab, 10 ms, no tolerance
-            "0000000000000001" "63" "0000000000000014" "01" "0000000000000005"  # c, 20, 5
-        )
-        assert request_fingerprint(req) == canonical_bytes(req)
+    def test_node_id_is_in_the_key_and_xapp_id_is_not(self):
+        key = request_fingerprint(request(9, 2, [("ab", 10), ("c", 20, 5)]))
+        assert key == request_fingerprint(request(1, 2, [("ab", 10), ("c", 20, 5)]))
+        assert key != request_fingerprint(request(9, 3, [("ab", 10), ("c", 20, 5)]))
 
 
 kpi_names = st.text(
@@ -78,10 +74,18 @@ requests_strategy = st.builds(
 )
 
 
+def content_bytes(req):
+    """The request's node and items as subscribe-frame bytes under one fixed
+    sender, so the xApp id is left out as the whole-request key leaves it out."""
+    return wire.encode(wire.Subscribe(0, req.node, req.items))
+
+
 @given(requests_strategy, requests_strategy)
-def test_fingerprint_equality_tracks_canonical_bytes(a, b):
+def test_fingerprint_equality_tracks_wire_bytes(a, b):
+    """Identical subscriptions are byte-identical ones: keys are equal
+    exactly when the node and items encode to the same bytes."""
     assert (request_fingerprint(a) == request_fingerprint(b)) == (
-        canonical_bytes(a) == canonical_bytes(b)
+        content_bytes(a) == content_bytes(b)
     )
 
 

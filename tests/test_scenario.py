@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from ricmerge import scenario
+from ricmerge import scenario, wire
 from ricmerge.e2model import (
     SubscriptionItem,
     SubscriptionRequest,
@@ -38,6 +38,12 @@ from ricmerge.sim import Batching, SimConfig
 
 MODEL = PowerModel()
 SIM = SimConfig(horizon_ms=100)
+
+
+def content_bytes(request):
+    """A request's node and items as subscribe-frame bytes under one fixed
+    sender: the byte identity that whole-request dedup stands for."""
+    return wire.encode(wire.Subscribe(0, request.node, request.items))
 
 
 class TestBuild:
@@ -71,7 +77,7 @@ class TestBuild:
         requests = build(ScenarioSpec(10, 20, redundancy_fraction=0.9, seed=3))
         prints = {}
         for request in requests:
-            prints.setdefault(request_fingerprint(request), []).append(request)
+            prints.setdefault(content_bytes(request), []).append(request)
         assert all(len(group) == 1 for group in prints.values())
 
     def test_period_mix_draws_from_weights(self):
@@ -103,7 +109,7 @@ class TestBuild:
         demands = [d for r in requests for d in decompose(r)]
         assert len([d for d in demands if d.xapp == 1]) == 20
         prints = {request_fingerprint(r) for r in requests}
-        assert len(prints) == len(requests)  # reversal keeps hashes distinct
+        assert len(prints) == len(requests)  # reversal keeps keys distinct
 
     def test_items_are_shared_across_nodes(self):
         spec = ScenarioSpec(
@@ -390,7 +396,7 @@ def reference_stream_classes(rows):
 def reference_whole_request_rows(requests):
     groups = {}
     for request in requests:
-        groups.setdefault(request_fingerprint(request), []).append(request)
+        groups.setdefault(content_bytes(request), []).append(request)
     for members in groups.values():
         keeper = members[0]
         xapps = tuple(sorted({m.xapp for m in members}))

@@ -119,6 +119,15 @@ class TestCodec:
             with pytest.raises(CodecError, match=reason):
                 decode(frame)
 
+    def test_field_that_does_not_fit_its_wire_type_raises_codec_error(self):
+        too_wide = [
+            Subscribe(7, 3, (SubscriptionItem("a", 10, 2**64),)),  # u64 tolerance
+            SetupRequest(node=2**64),  # u64 node id
+        ]
+        for msg in too_wide:
+            with pytest.raises(CodecError, match="does not fit its wire type"):
+                encode(msg)
+
 
 names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12
@@ -232,6 +241,8 @@ class TestBrokerLifecycle:
         )
         try:
             broker._accept_loop(listener)
+            assert broker.accept_ended.is_set()
+            assert broker.accept_error.errno == errno.EMFILE
             client.settimeout(5)
             client.sendall(encode(SetupRequest(4)))
             assert decode(read_frame(client)) == SetupResponse(4, True)
