@@ -4,9 +4,11 @@ Subcommands: ``run`` (one scenario comparison), ``sweep`` (one axis),
 ``calibrate`` (fit a power model to measured points), and the live-mode
 roles ``broker``, ``node``, ``xapp``, run until Ctrl-C or ``--duration``.
 Results go to stdout or ``--out`` as CSV or JSON, byte-identical for
-identical invocations. Exit code 2 means a bad config, input or output
-file, 1 a live role that could not listen, connect, set up or subscribe,
-or a broker that stopped accepting connections.
+identical invocations. Exit code 2 means a bad config, input, output
+file or address, 1 a live role that could not listen, connect, set up
+or subscribe, a broker that stopped accepting connections, or a node or
+xApp whose connection to the broker ended before Ctrl-C or
+``--duration``.
 Only the live roles import ``wire``, so the batch commands never load
 the socket, thread and broker code.
 """
@@ -31,7 +33,7 @@ MAX_RANGE_POINTS = 10_000
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise ConfigError(f"bad address (want host:port): {text!r}")
     return host, int(port)
 
@@ -86,8 +88,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec, model, sim_cfg = scenario.load_config(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    report = scenario.compare(spec, model, sim_cfg)
-    _emit(_render(report.results, args.format), args.out)
+    rows = scenario.compare(spec, model, sim_cfg)
+    _emit(_render(rows, args.format), args.out)
     return 0
 
 
@@ -136,15 +138,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run(start, stop, duration_s: float | None = None, ended: threading.Event | None = None):
-    """Call ``start``, wait ``duration_s`` seconds or until ``ended`` is set
-    (until Ctrl-C when both are None), then call ``stop``, also when
-    ``start`` failed. Ctrl-C is not an error."""
+def _run(start, stop, ended: threading.Event, duration_s: float | None = None) -> bool:
+    """Call ``start``, wait until ``ended`` is set, ``duration_s`` seconds
+    pass or Ctrl-C, then call ``stop``, also when ``start`` failed.
+    Returns whether ``ended`` was set first; Ctrl-C is not an error."""
     try:
         start()
-        (ended or threading.Event()).wait(duration_s)
+        return ended.wait(duration_s)
     except KeyboardInterrupt:
-        pass
+        return False
     finally:
         stop()
 
@@ -154,7 +156,7 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
     model = scenario.load_config(args.config)[1] if args.config else None
     broker = wire.Broker(*_parse_address(args.listen), model, stats_interval_s=1.0)
-    _run(broker.start, broker.stop, ended=broker.accept_ended)
+    _run(broker.start, broker.stop, broker.accept_ended)
     if broker.accept_error is not None:
         raise RuntimeError(f"broker stopped accepting connections: {broker.accept_error}")
     return 0
@@ -164,7 +166,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
     from . import wire
 
     node = wire.NodeEmulator(*_parse_address(args.broker), args.node_id)
-    _run(node.start, node.stop)
+    if _run(node.start, node.stop, node.ended):
+        raise RuntimeError(f"connection to broker ended: {node.reason}")
     return 0
 
 
@@ -181,7 +184,8 @@ def _cmd_xapp(args: argparse.Namespace) -> int:
         if not reply.accepted:
             raise RuntimeError(f"subscription rejected: {reply.reason}")
 
-    _run(start, client.close, args.duration)
+    if _run(start, client.close, client.ended, args.duration):
+        raise RuntimeError(f"connection to broker ended: {client.reason}")
     print(json.dumps({"messages": client.received_messages, "samples": client.received_samples}))
     return 0
 

@@ -224,9 +224,6 @@ class TransmissionPlan:
         if set(self.fanout.values()) != set(range(len(streams))):
             raise ValueError(_FANOUT_ERROR)
 
-    def stream_for(self, xapp: XAppId) -> StreamSpec:
-        return self.streams[self.fanout[xapp]]
-
 
 class ChangeAction(str, Enum):
     ADDED = "added"
@@ -414,9 +411,6 @@ class MergeState:
         self._demands: dict[_Key, dict[XAppId, KpiDemand]] = {}
         # Each group's fold and its xApp ids in rank order.
         self._groups: dict[_Key, GroupPlan] = {}
-
-    def demand_count(self) -> int:
-        return sum(len(v) for v in self._demands.values())
 
     def plan_for(self, node: E2NodeId, kpi: KpiId) -> TransmissionPlan | None:
         """The group's plan, built from its fold on every call."""

@@ -10,6 +10,7 @@ reference; predictions only use the RIC static term, which subsumes it.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -26,6 +27,10 @@ class PowerModel:
     watts_per_sample_rate: float = DEFAULT_WATTS_PER_SAMPLE_RATE
 
     def __post_init__(self) -> None:
+        for name in ("p_cpu_static_watts", "p_ric_static_watts", "watts_per_sample_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name.removeprefix('p_')} must be finite: {value}")
         if not 0 <= self.p_cpu_static_watts <= self.p_ric_static_watts:
             raise ValueError(
                 "require 0 <= CPU static <= RIC static, got "
@@ -41,8 +46,8 @@ class MeasurementPoint:
     watts: float
 
     def __post_init__(self) -> None:
-        if self.sample_rate < 0 or self.watts < 0:
-            raise ValueError("measurement values must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.sample_rate, self.watts)):
+            raise ValueError("measurement values must be finite and non-negative")
 
 
 class Savings(NamedTuple):

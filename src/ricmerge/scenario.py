@@ -259,17 +259,6 @@ class SweepRow:
     saved_pct: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    results: tuple[SweepRow, ...]
-
-    def for_mode(self, mode: DedupMode) -> SweepRow:
-        for result in self.results:
-            if result.mode is mode:
-                return result
-        raise KeyError(mode)
-
-
 def _mode_layout(
     mode: DedupMode,
     requests: list[SubscriptionRequest],
@@ -293,8 +282,7 @@ def _measure(
     sim_cfg: SimConfig,
 ) -> tuple[Fraction, int, int]:
     """Lay one mode out and simulate it: its sample rate, bytes sent and
-    stream count. The classes and the sim report, which holds them, are
-    dropped on return."""
+    stream count. The classes and the sim report are dropped on return."""
     classes, rate = _mode_layout(mode, requests, demands)
     report = sim_run(classes, demands, sim_cfg)
     streams = sum(len(fold.periods) * len(groups) for fold, groups in classes)
@@ -386,7 +374,7 @@ def _price(
 
 def compare(
     spec: ScenarioSpec, model: PowerModel, sim_cfg: SimConfig
-) -> ComparisonReport:
+) -> tuple[SweepRow, ...]:
     """Run all three dedup modes over one generated demand set; rows are
     keyed by the scenario's redundancy fraction.
 
@@ -398,7 +386,7 @@ def compare(
     never held whole; the rows are those of measuring it at once.
     """
     tally = _tally(build(spec), sim_cfg)
-    return ComparisonReport(_price(tally, spec.redundancy_fraction, model, sim_cfg))
+    return _price(tally, spec.redundancy_fraction, model, sim_cfg)
 
 
 class SweepAxis(str, Enum):

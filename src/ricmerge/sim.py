@@ -15,21 +15,19 @@ node period set) rather than tick by tick; counts are exact for any
 horizon and reports are byte-identical across runs. ``run`` walks the
 classes once (horizon check and samples per class; the served-twice
 check and each node's periods per group) and the demands once (service
-check, staleness). The per-stream sample counts are derived from the
-layout when first read; ``to_json`` sorts every map.
+check, staleness). The report holds the four totals the callers read:
+messages, samples and bytes sent, and each xApp's worst sample age.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
-from .merge import PlanClass, StreamSpec
+from .merge import PlanClass
 
 
 class Batching(str, Enum):
@@ -55,66 +53,12 @@ class SimConfig:
             raise ValueError(f"bytes per sample must be >= 1: {self.bytes_per_sample}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimReport:
     messages_sent: int
     samples_sent: int
     bytes_sent: int
-    per_xapp_max_staleness: dict[XAppId, int] = field(default_factory=dict)
-    # The layout and horizon that ``per_stream_sample_counts`` derives from.
-    layout: Sequence[PlanClass] = field(default=(), repr=False, compare=False)
-    horizon_ms: int = field(default=1, repr=False, compare=False)
-
-    @cached_property
-    def per_stream_sample_counts(self) -> dict[StreamSpec, int]:
-        """Samples per stream, built on first read; exact-duplicate streams
-        (several groups, one spec) accumulate."""
-        counts: dict[StreamSpec, int] = {}
-        for fold, groups in self.layout:
-            ticks = [(period, _ticks(period, self.horizon_ms)) for period in fold.periods]
-            for node, kpi, _ in groups:
-                for period, count in ticks:
-                    stream = StreamSpec(node, kpi, period)
-                    counts[stream] = counts.get(stream, 0) + count
-        return counts
-
-    def to_json(self) -> str:
-        """Stable JSON rendering for golden-file comparison.
-
-        Stream keys are "node:kpi:period_ms"; all maps are sorted by key
-        (lexicographically for the rendered string keys).
-        """
-        doc = {
-            "messages_sent": self.messages_sent,
-            "samples_sent": self.samples_sent,
-            "bytes_sent": self.bytes_sent,
-            "per_xapp_max_staleness": {
-                str(x): s for x, s in sorted(self.per_xapp_max_staleness.items())
-            },
-            "per_stream_sample_counts": {
-                f"{s.node}:{s.kpi}:{s.period_ms}": c
-                for s, c in sorted(
-                    self.per_stream_sample_counts.items(),
-                    key=lambda kv: (kv[0].node, kv[0].kpi, kv[0].period_ms),
-                )
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
-
-
-def staleness_oracle(sample_period_ms: int, consume_period_ms: int) -> int:
-    """Brute-force worst-case sample age over one hyperperiod.
-
-    Walks every consumer tick in [0, lcm) and takes the maximum distance
-    to the newest sample emitted at or before it, both grids aligned at
-    t = 0. Serves as the independent check for the closed-form bound.
-    """
-    hyper = math.lcm(sample_period_ms, consume_period_ms)
-    worst = 0
-    for tick in range(0, hyper, consume_period_ms):
-        newest_sample = (tick // sample_period_ms) * sample_period_ms
-        worst = max(worst, tick - newest_sample)
-    return worst
+    per_xapp_max_staleness: dict[XAppId, int]
 
 
 def _ticks(period_ms: int, horizon_ms: int) -> int:
@@ -156,12 +100,11 @@ def run(
     cfg: SimConfig,
 ) -> SimReport:
     horizon = cfg.horizon_ms
-    layout = list(classes)
     samples = 0
     node_periods: dict[E2NodeId, set[int]] = {}
     # The period of the stream serving each (node, KPI, xApp).
     served: dict[tuple[E2NodeId, KpiId, XAppId], int] = {}
-    for (periods, feeds), groups in layout:
+    for (periods, feeds), groups in classes:
         longest = max(periods)
         if longest > horizon:
             node, kpi, _ = groups[0]
@@ -197,21 +140,18 @@ def run(
         if age >= staleness.get(demand.xapp, 0):
             staleness[demand.xapp] = age
 
-    report = SimReport(0, samples, 0, staleness, layout, horizon)
     if cfg.batching is Batching.PER_STREAM:
-        report.messages_sent = report.samples_sent
-        report.bytes_sent = report.samples_sent * (cfg.header_bytes + cfg.bytes_per_sample)
+        messages = samples
+        bytes_sent = samples * (cfg.header_bytes + cfg.bytes_per_sample)
     else:
         # One message per node per instant on the union of its grids;
         # nodes sharing a period set share the count.
         instants: dict[tuple[int, ...], int] = {}
+        messages = 0
         for periods in node_periods.values():
             key = tuple(sorted(periods))
             if key not in instants:
                 instants[key] = _union_ticks(key, horizon)
-            report.messages_sent += instants[key]
-        report.bytes_sent = (
-            report.messages_sent * cfg.header_bytes
-            + report.samples_sent * cfg.bytes_per_sample
-        )
-    return report
+            messages += instants[key]
+        bytes_sent = messages * cfg.header_bytes + samples * cfg.bytes_per_sample
+    return SimReport(messages, samples, bytes_sent, staleness)

@@ -673,7 +673,9 @@ class NodeEmulator:
     subscription messages, and an emitter that sends one indication per
     tick of each subscribed period, carrying every KPI subscribed at that
     period (node-and-period batching). A period ticks as soon as it is
-    first subscribed, then once per period.
+    first subscribed, then once per period. ``ended`` is set, and
+    ``reason`` says why, when either thread stops while the node is not
+    stopping: the broker closed the connection or a send failed.
     """
 
     def __init__(self, broker_host: str, broker_port: int, node_id: int) -> None:
@@ -681,6 +683,8 @@ class NodeEmulator:
         self._addr = (broker_host, broker_port)
         self._peer: _Peer | None = None
         self._stopping = threading.Event()
+        self.ended = threading.Event()
+        self.reason: str | None = None
         self._lock = threading.Lock()
         self._streams: dict[int, set[str]] = {}  # period_ms -> kpis
         self._due: dict[int, float] = {}  # period_ms -> next tick (monotonic)
@@ -747,8 +751,18 @@ class NodeEmulator:
                             kpis.discard(kpi)
                             if not kpis:
                                 del self._streams[period]
-        level = logging.INFO if self._stopping.is_set() else logging.WARNING
-        logger.log(level, "node %d: reader stopped (%s)", self.node_id, peer.reason)
+        self._end("reader", peer.reason)
+
+    def _end(self, thread: str, reason: str) -> None:
+        """Log that ``thread`` stopped. Unless the node is stopping, set
+        ``ended``, keeping the first reason."""
+        with self._lock:
+            stopping = self._stopping.is_set()
+            if not stopping and not self.ended.is_set():
+                self.reason = reason
+                self.ended.set()
+        level = logging.INFO if stopping else logging.WARNING
+        logger.log(level, "node %d: %s stopped (%s)", self.node_id, thread, reason)
 
     def _emit_loop(self, peer: _Peer) -> None:
         """Send each due period's indication; sleep until the next is due.
@@ -783,8 +797,7 @@ class NodeEmulator:
                     Indication(self.node_id, now_ms, period, tuple((k, now_ms) for k in kpis))
                 ):
                     self.emit_times.pop()  # never left the node
-                    level = logging.INFO if self._stopping.is_set() else logging.WARNING
-                    logger.log(level, "node %d: emitter stopped (send failed)", self.node_id)
+                    self._end("emitter", "send failed")
                     return
                 if self.first_emit_monotonic is None:
                     self.first_emit_monotonic = time.monotonic()
@@ -793,7 +806,11 @@ class NodeEmulator:
 
 
 class XAppClient:
-    """Subscribing consumer; counts the indications it receives."""
+    """Subscribing consumer; counts the indications it receives.
+
+    ``ended`` is set when the reader stops, also on ``close``; ``reason``
+    says why.
+    """
 
     def __init__(self, broker_host: str, broker_port: int, xapp_id: int) -> None:
         self.xapp_id = xapp_id
@@ -803,7 +820,8 @@ class XAppClient:
         self._stopping = threading.Event()
         self._replies: "list[SubscribeReply]" = []
         self._reply_ready = threading.Condition()
-        self._reader_ended = False  # set, under _reply_ready, when the reader stops
+        self.ended = threading.Event()  # set under _reply_ready
+        self.reason: str | None = None
         self.received_messages = 0
         self.received_samples = 0
         self.samples_per_kpi: dict[str, int] = {}
@@ -836,8 +854,8 @@ class XAppClient:
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         with self._reply_ready:
             while not self._replies:
-                if self._reader_ended:
-                    raise ConnectionError(f"no subscription reply: {self._peer.reason}")
+                if self.ended.is_set():
+                    raise ConnectionError(f"no subscription reply: {self.reason}")
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self._peer.close()
@@ -868,7 +886,8 @@ class XAppClient:
                 for kpi, _ in msg.samples:
                     self.samples_per_kpi[kpi] = self.samples_per_kpi.get(kpi, 0) + 1
         with self._reply_ready:
-            self._reader_ended = True
+            self.reason = peer.reason
+            self.ended.set()
             self._reply_ready.notify()
         level = logging.INFO if self._stopping.is_set() else logging.WARNING
         logger.log(level, "xApp %d: reader stopped (%s)", self.xapp_id, peer.reason)

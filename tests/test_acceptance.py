@@ -29,8 +29,10 @@ from ricmerge.merge import (
 )
 from ricmerge.power import PowerModel
 from ricmerge.scenario import DedupMode, ScenarioSpec, compare
-from ricmerge.sim import SimConfig, _ticks, run as sim_run, staleness_oracle
+from ricmerge.sim import SimConfig, _ticks, run as sim_run
 from ricmerge.wire import Broker, Indication, NodeEmulator, XAppClient, encode
+
+from helpers import rows_by_mode, staleness_oracle
 
 MODEL = PowerModel()
 SIM = SimConfig(horizon_ms=10)
@@ -75,15 +77,15 @@ def test_criterion_1_power_savings_reproduction():
 
     # The full pipeline (generated demands through the merge engine)
     # reproduces the same numbers.
-    report = compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM)
-    merged = report.for_mode(DedupMode.PER_KPI_MERGE)
+    by_mode = rows_by_mode(compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM))
+    merged = by_mode[DedupMode.PER_KPI_MERGE]
     assert merged.gross_watts == pytest.approx(43.8, abs=0.2)
     assert merged.saved_watts == pytest.approx(8.4, abs=0.2)
     assert merged.saved_pct == pytest.approx(19.2, abs=1.0)
-    report = compare(ScenarioSpec(100, 50, 10, 0.9, seed=2), MODEL, SIM)
-    assert report.for_mode(DedupMode.PER_KPI_MERGE).saved_watts == pytest.approx(210, abs=2)
-    report = compare(ScenarioSpec(300, 100, 10, 0.9, seed=3), MODEL, SIM)
-    merged = report.for_mode(DedupMode.PER_KPI_MERGE)
+    by_mode = rows_by_mode(compare(ScenarioSpec(100, 50, 10, 0.9, seed=2), MODEL, SIM))
+    assert by_mode[DedupMode.PER_KPI_MERGE].saved_watts == pytest.approx(210, abs=2)
+    by_mode = rows_by_mode(compare(ScenarioSpec(300, 100, 10, 0.9, seed=3), MODEL, SIM))
+    merged = by_mode[DedupMode.PER_KPI_MERGE]
     assert merged.gross_watts >= 1400
     assert merged.saved_watts >= 1200
     assert 87 <= merged.saved_pct <= 89
@@ -220,9 +222,9 @@ def test_criterion_6_branch_coverage():
 
 def test_criterion_7_whole_request_baseline_gap():
     spec = ScenarioSpec(10, 20, 10, 0.9, seed=1)
-    report = compare(spec, MODEL, SIM)
-    whole = report.for_mode(DedupMode.WHOLE_REQUEST)
-    merged = report.for_mode(DedupMode.PER_KPI_MERGE)
+    by_mode = rows_by_mode(compare(spec, MODEL, SIM))
+    whole = by_mode[DedupMode.WHOLE_REQUEST]
+    merged = by_mode[DedupMode.PER_KPI_MERGE]
     assert whole.saved_watts == 0.0
     ideal = MODEL.watts_per_sample_rate * 0.9 * scenario_rate("small")
     assert merged.saved_watts == pytest.approx(ideal, rel=1e-12)

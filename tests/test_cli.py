@@ -10,12 +10,14 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from ricmerge import cli, power, scenario, wire
 from ricmerge.cli import main
+from ricmerge.e2model import KpiDemand
 from ricmerge.merge import MergeState
 from ricmerge.scenario import ConfigError, SweepAxis
 
@@ -23,13 +25,18 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def checkout_env() -> dict:
+    """This process's environment, with ricmerge imported from the checkout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_in_fresh_interpreter(probe: str) -> str:
     """Run ``probe`` in a new interpreter that imports ricmerge from the
     checkout; return its standard output."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=checkout_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -125,6 +132,19 @@ class TestRun:
         assert code == 0, err
         assert len(out.splitlines()) == 1 + 3  # header, then one row per mode
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("watts_per_sample_rate", "nan"), ("ric_static_watts", "inf")],
+    )
+    def test_power_value_that_is_not_finite_exits_2(self, capsys, tmp_path, key, value):
+        config = tmp_path / "power.cfg"
+        config.write_text(f"[scenario]\nnodes = 2\nkpis_per_node = 2\n[power]\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, "run", config)
+        assert code == 2 and out == ""
+        assert error_lines(err) == [
+            f"error: {config}: invalid config: {key} must be finite: {value}"
+        ]
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "x.cfg", "--bogus"])
@@ -147,22 +167,25 @@ class TestRun:
         assert out.splitlines()[-1] == "0 []"
 
 
+def count_calls(monkeypatch, hooks) -> collections.Counter:
+    """Count the calls to each ``(owner, name)`` attribute in ``hooks``, by name."""
+    calls = collections.Counter()
+    for owner, name in hooks:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestTraceHooks:
     """The benchmark's traced run rebinds these attributes to time each
     layer; one that stops being called makes its metric read 0."""
 
     def test_run_calls_every_traced_hook(self, capsys, monkeypatch, plans_built):
-        calls = collections.Counter()
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
         hooks = [
             (scenario, "build"),
             (scenario, "decompose"),
@@ -171,12 +194,11 @@ class TestTraceHooks:
             (power, "predict"),
             (MergeState, "add_demands"),
         ]
-        for owner, name in hooks:
-            count(owner, name)
+        calls = count_calls(monkeypatch, hooks)
         # The traced run names each sim call's mode by the identity of the
         # layout it gets, so it must be the object the layout returned first.
         # Each mode is laid out, then simulated, before the next one starts.
-        layouts, simulated, order = [], [], []
+        layouts, simulated, reports, order = [], [], [], []
         layout, sim = scenario._mode_layout, scenario.sim_run
 
         def traced_layout(*args):
@@ -188,7 +210,8 @@ class TestTraceHooks:
         def traced_sim(classes, *args):
             simulated.append(classes)
             order.append("sim")
-            return sim(classes, *args)
+            reports.append(sim(classes, *args))
+            return reports[-1]
 
         monkeypatch.setattr(scenario, "_mode_layout", traced_layout)
         monkeypatch.setattr(scenario, "sim_run", traced_sim)
@@ -201,6 +224,30 @@ class TestTraceHooks:
         assert len(layouts) == len(simulated) == 3
         assert all(got is made for got, made in zip(simulated, layouts))
         assert order == ["layout", "sim"] * 3
+        # The traced sim hook adds up each report's samples.
+        assert all(report.samples_sent > 0 for report in reports)
+
+    def test_churn_calls_every_traced_merge_hook(self, monkeypatch, plans_built):
+        """The churn workload times each add and remove and reads plans,
+        rates and demands through these ``MergeState`` methods."""
+        names = [
+            "add_demand", "remove_demand", "plan_for", "plans", "demands", "total_sample_rate"
+        ]
+        calls = count_calls(monkeypatch, [(MergeState, name) for name in names])
+        state = MergeState()
+        demands = [KpiDemand(1, 0, "K", 10), KpiDemand(2, 0, "K", 15), KpiDemand(3, 0, "K", 20)]
+        # Add all three, then remove the second.
+        for demand in demands + demands[1:2]:
+            if demand in state.demands():
+                state.remove_demand(demand.xapp, demand.node, demand.kpi)
+            else:
+                state.add_demand(demand)
+            state.plan_for(0, "K")
+            assert state.total_sample_rate() > 0
+        assert state.demands() == demands[::2]
+        assert list(state.plans()) == [(0, "K")]
+        assert [name for name in names if not calls[name]] == []
+        assert plans_built
 
 
 class TestSweep:
@@ -373,6 +420,16 @@ class TestCalibrate:
         assert code == 0
         assert out == "ric_static_watts,watts_per_sample_rate\n30,0.001\n"
 
+    def test_point_that_is_not_finite_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("rate,watts\n0,34.5\nnan,268.2\n")
+        code, out, err = run_cli(capsys, "calibrate", points)
+        assert code == 2 and out == ""
+        assert error_lines(err) == [
+            "error: line 3: bad point 'nan,268.2': "
+            "measurement values must be finite and non-negative"
+        ]
+
     def test_line_without_a_comma_exits_2(self, capsys, tmp_path):
         points = tmp_path / "points.csv"
         points.write_text("0,34.5\n500000 268.2\n")
@@ -468,12 +525,21 @@ class TestLiveRoles:
         (line,) = error_lines(err)
         assert cause in line
 
-    @pytest.mark.parametrize("role", ["node", "xapp"])
-    def test_bad_broker_address_exits_2(self, capsys, tmp_path, role):
-        extra = ["--node-id", "1"] if role == "node" else ["--subscribe", tmp_path / "x.cfg"]
-        code, out, err = run_cli(capsys, role, "--broker", "localhost", *extra)
+    @pytest.mark.parametrize(
+        "role, flag, address",
+        [
+            pytest.param("node", "--broker", "localhost", id="node"),
+            pytest.param("xapp", "--broker", "localhost", id="xapp"),
+            pytest.param("node", "--broker", "127.0.0.1:70000", id="node-port-70000"),
+            pytest.param("xapp", "--broker", "127.0.0.1:65536", id="xapp-port-65536"),
+            pytest.param("broker", "--listen", "127.0.0.1:99999", id="broker-port-99999"),
+        ],
+    )
+    def test_bad_broker_address_exits_2(self, capsys, tmp_path, role, flag, address):
+        extra = {"node": ["--node-id", "1"], "xapp": ["--subscribe", tmp_path / "x.cfg"]}
+        code, out, err = run_cli(capsys, role, flag, address, *extra.get(role, []))
         assert code == 2 and out == ""
-        assert error_lines(err) == ["error: bad address (want host:port): 'localhost'"]
+        assert error_lines(err) == [f"error: bad address (want host:port): {address!r}"]
 
     def test_broker_on_a_port_in_use_exits_1(self, capsys):
         with socket.create_server(("127.0.0.1", 0)) as taken:
@@ -500,10 +566,9 @@ class TestLiveRoles:
         ]
 
     def test_broker_process_logs_its_port_and_exits_0_on_sigint(self):
-        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "ricmerge.cli", "broker", "--listen", "127.0.0.1:0"],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=checkout_env(),
             stdin=subprocess.DEVNULL,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
@@ -525,3 +590,65 @@ class TestLiveRoles:
                 proc.kill()
             proc.wait()
             proc.stderr.close()
+
+    def test_node_process_exits_1_when_its_broker_stops(self):
+        broker = wire.Broker()
+        broker.start()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ricmerge.cli", "node", "--broker", "%s:%d" % broker.address,
+             "--node-id", "1"],
+            env=checkout_env(),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        watchdog = threading.Timer(20, proc.kill)  # bounds a node that never exits
+        watchdog.start()
+        try:
+            line = ""
+            while "node 1 attached to broker" not in line:
+                line = proc.stderr.readline()
+                assert line, "node exited before it attached"
+            broker.stop()
+            assert proc.wait(timeout=10) == 1
+            (error,) = error_lines(proc.stderr.read())
+            assert error.startswith("error: connection to broker ended: ")
+        finally:
+            watchdog.cancel()
+            broker.stop()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_xapp_without_duration_exits_1_when_its_broker_stops(self, capsys, tmp_path):
+        broker = wire.Broker()
+        broker.start()
+        node = wire.NodeEmulator(*broker.address, node_id=3)
+        node.start()
+        subscribe = tmp_path / "sub.cfg"
+        subscribe.write_text("[subscribe]\nxapp = 7\nnode = 3\nitems = K0:20\n")
+        results = []
+        role = threading.Thread(
+            target=lambda: results.append(
+                run_cli(capsys, "xapp", "--broker", "%s:%d" % broker.address,
+                        "--subscribe", subscribe)
+            ),
+            daemon=True,
+        )
+        role.start()
+        try:
+            deadline = time.monotonic() + 5
+            while not node.active_streams() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert node.active_streams() == {("K0", 20)}
+        finally:
+            broker.stop()
+            role.join(timeout=10)
+            node.stop()
+        assert not role.is_alive(), "xApp kept running after its broker stopped"
+        [(code, _, err)] = results
+        assert code == 1
+        (error,) = error_lines(err)
+        assert error.startswith("error: connection to broker ended: ")

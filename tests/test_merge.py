@@ -26,7 +26,8 @@ from ricmerge.merge import (
     fed_at,
     max_staleness,
 )
-from ricmerge.sim import staleness_oracle
+
+from helpers import staleness_oracle
 
 
 class TestMaxStaleness:
@@ -175,7 +176,7 @@ class TestMergeState:
         with pytest.raises(DuplicateDemandError):
             state.add_demands([demand(2, 10, kpi="b"), demand(1, 20)])
         assert state.plan_for(0, "b") is None
-        assert state.demand_count() == 1
+        assert len(state.demands()) == 1
         with pytest.raises(DuplicateDemandError):
             state.add_demands([demand(3, 10, kpi="c"), demand(3, 20, kpi="c")])
         assert state.plan_for(0, "c") is None
@@ -189,7 +190,7 @@ class TestMergeState:
             (ChangeAction.ADDED, "a"),
             (ChangeAction.ADDED, "b"),
         }
-        assert state.demand_count() == 3
+        assert len(state.demands()) == 3
 
     def test_unknown_removal_rejected(self):
         state = MergeState()
@@ -364,7 +365,7 @@ def test_every_assignment_divides_or_is_tolerated(spec_list):
     state = build_state(spec_list)
     plan = state.plan_for(0, "a")
     for xapp, (period, sens) in enumerate(spec_list):
-        stream_period = plan.stream_for(xapp).period_ms
+        stream_period = plan.streams[plan.fanout[xapp]].period_ms
         if period % stream_period == 0:
             continue
         assert sens is not None
@@ -376,7 +377,7 @@ def test_dividing_streams_deliver_zero_staleness(spec_list):
     state = build_state(spec_list)
     plan = state.plan_for(0, "a")
     for xapp, (period, _) in enumerate(spec_list):
-        stream_period = plan.stream_for(xapp).period_ms
+        stream_period = plan.streams[plan.fanout[xapp]].period_ms
         if period % stream_period == 0:
             assert staleness_oracle(stream_period, period) == 0
 
@@ -415,13 +416,14 @@ class TestTransmissionPlan:
         # 10, 15, 15 and 20 ms gcd-merge to 5 ms; 7 ms stays apart.
         assert plan.streams == (StreamSpec(0, "a", 5), StreamSpec(0, "a", 7))
         assert sorted(plan.fanout.items()) == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0)]
-        assert {x: plan.stream_for(x).period_ms for x in range(5)} == {
+        assert {x: plan.streams[plan.fanout[x]].period_ms for x in range(5)} == {
             0: 7, 1: 5, 2: 5, 3: 5, 4: 5
         }
         group = state.groups()[0, "a"]
         for stream in plan.streams:
             fed = fed_at(group, stream.period_ms)
-            assert sorted(fed) == sorted(x for x in plan.fanout if plan.stream_for(x) == stream)
+            fanned = [x for x, i in plan.fanout.items() if plan.streams[i] == stream]
+            assert sorted(fed) == sorted(fanned)
         assert fed_at(group, 10) == ()
 
     def test_sample_rate_helper(self):
@@ -624,7 +626,7 @@ def test_engine_matches_reference_fold():
                 periods = {requested[x, kpi] for x in plan.fanout}
                 gcd_streams += sum(s.period_ms not in periods for s in plan.streams)
                 tolerated += sum(
-                    requested[x, kpi] % plan.stream_for(x).period_ms != 0
+                    requested[x, kpi] % plan.streams[plan.fanout[x]].period_ms != 0
                     for x in plan.fanout
                 )
     # The corpus must reach every branch of the rule, removals included.
@@ -706,7 +708,7 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
         split += len(want.streams) > 1
         gcd_streams += sum(s.period_ms not in requested.values() for s in want.streams)
         for xapp, period in requested.items():
-            stream_period = want.stream_for(xapp).period_ms
+            stream_period = want.streams[want.fanout[xapp]].period_ms
             tolerated += period % stream_period != 0
             divisible += period != stream_period and period % stream_period == 0
     assert got_changes == list(want_changes)

@@ -148,6 +148,20 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PowerModel(watts_per_sample_rate=-1e-4)
 
+    @pytest.mark.parametrize(
+        "field", ["p_cpu_static_watts", "p_ric_static_watts", "watts_per_sample_rate"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_values_that_are_not_finite_rejected(self, field, value):
+        name = field.removeprefix("p_")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite: {value}$"):
+            PowerModel(**{field: value})
+
+    @pytest.mark.parametrize("rate, watts", [(float("nan"), 268.2), (0, float("inf"))])
+    def test_measurement_that_is_not_finite_rejected(self, rate, watts):
+        with pytest.raises(ValueError, match="must be finite"):
+            MeasurementPoint(rate, watts)
+
     def test_calibrate_clamps_cpu_floor(self):
         points = [MeasurementPoint(0, 20.0), MeasurementPoint(1000, 21.0)]
         model = calibrate(points)

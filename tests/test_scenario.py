@@ -20,7 +20,6 @@ from ricmerge.power import PowerModel
 from ricmerge.scenario import (
     MODE_ORDER,
     SWEEP_AXES,
-    ComparisonReport,
     ConfigError,
     DedupMode,
     ScenarioSpec,
@@ -35,6 +34,8 @@ from ricmerge.scenario import (
     sweep,
 )
 from ricmerge.sim import Batching, SimConfig
+
+from helpers import rows_by_mode
 
 MODEL = PowerModel()
 SIM = SimConfig(horizon_ms=100)
@@ -222,29 +223,29 @@ def test_build_keeps_no_table_per_node_and_kpi():
 
 class TestCompare:
     def test_small_deployment_headline_numbers(self):
-        report = compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM)
-        merge = report.for_mode(DedupMode.PER_KPI_MERGE)
+        by_mode = rows_by_mode(compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM))
+        merge = by_mode[DedupMode.PER_KPI_MERGE]
         assert merge.gross_watts == pytest.approx(43.8, abs=0.2)
         assert merge.saved_watts == pytest.approx(8.4, abs=0.2)
         assert merge.saved_pct == pytest.approx(19.2, abs=1)
         assert merge.streams == 200
 
     def test_whole_request_hashing_misses_partial_overlap(self):
-        report = compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM)
-        whole = report.for_mode(DedupMode.WHOLE_REQUEST)
+        by_mode = rows_by_mode(compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM))
+        whole = by_mode[DedupMode.WHOLE_REQUEST]
         assert whole.saved_watts == 0
-        assert whole.streams == report.for_mode(DedupMode.NO_DEDUP).streams
+        assert whole.streams == by_mode[DedupMode.NO_DEDUP].streams
 
     def test_whole_request_catches_fully_identical_requests(self):
         # One KPI per node: the duplicating request cannot differ.
-        report = compare(ScenarioSpec(4, 1, 10, 0.5, seed=1), MODEL, SIM)
-        whole = report.for_mode(DedupMode.WHOLE_REQUEST)
-        merge = report.for_mode(DedupMode.PER_KPI_MERGE)
+        by_mode = rows_by_mode(compare(ScenarioSpec(4, 1, 10, 0.5, seed=1), MODEL, SIM))
+        whole = by_mode[DedupMode.WHOLE_REQUEST]
+        merge = by_mode[DedupMode.PER_KPI_MERGE]
         assert whole.saved_watts == pytest.approx(merge.saved_watts)
 
     def test_rates_ordered_across_modes(self):
-        report = compare(ScenarioSpec(7, 9, 10, 0.3, seed=5), MODEL, SIM)
-        rates = {r.mode: r.sample_rate for r in report.results}
+        rows = compare(ScenarioSpec(7, 9, 10, 0.3, seed=5), MODEL, SIM)
+        rates = {r.mode: r.sample_rate for r in rows}
         assert (
             rates[DedupMode.PER_KPI_MERGE]
             <= rates[DedupMode.WHOLE_REQUEST]
@@ -270,8 +271,8 @@ class TestCompare:
 
     def test_merge_saves_exactly_the_duplicated_rate(self):
         spec = ScenarioSpec(10, 20, 10, 0.9, seed=6)
-        report = compare(spec, MODEL, SIM)
-        merge = report.for_mode(DedupMode.PER_KPI_MERGE)
+        by_mode = rows_by_mode(compare(spec, MODEL, SIM))
+        merge = by_mode[DedupMode.PER_KPI_MERGE]
         ideal = MODEL.watts_per_sample_rate * 0.9 * (10 * 20 * 100)
         assert merge.saved_watts == pytest.approx(ideal, rel=1e-12)
 
@@ -304,8 +305,8 @@ class TestCompare:
 
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)
-        a = rows_to_csv(compare(spec, MODEL, SIM).results)
-        b = rows_to_csv(compare(spec, MODEL, SIM).results)
+        a = rows_to_csv(compare(spec, MODEL, SIM))
+        b = rows_to_csv(compare(spec, MODEL, SIM))
         assert a == b
 
 
@@ -484,10 +485,9 @@ def _compare_each_point(spec, axis, values):
     field, kind, _, _, every_mode = SWEEP_AXES[axis]
     rows = []
     for value in values:
-        report = compare(replace(spec, **{field: kind(value)}), MODEL, SIM)
         rows += [
             replace(row, sweep_value=float(value))
-            for row in report.results
+            for row in compare(replace(spec, **{field: kind(value)}), MODEL, SIM)
             if every_mode or row.mode is spec.mode
         ]
     return rows
@@ -592,8 +592,8 @@ class TestSweep:
 
 class TestRendering:
     def test_csv_header_and_shape(self):
-        report = compare(ScenarioSpec(2, 2, 10, 0.5, seed=1), MODEL, SIM)
-        text = rows_to_csv(report.results)
+        rows = compare(ScenarioSpec(2, 2, 10, 0.5, seed=1), MODEL, SIM)
+        text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "sweep_value,mode,streams,sample_rate,bytes_per_sec,"
@@ -605,8 +605,8 @@ class TestRendering:
     def test_json_mirrors_csv_fields(self):
         import json
 
-        report = compare(ScenarioSpec(2, 2, 10, 0.0, seed=1), MODEL, SIM)
-        doc = json.loads(rows_to_json(report.results))
+        rows = compare(ScenarioSpec(2, 2, 10, 0.0, seed=1), MODEL, SIM)
+        doc = json.loads(rows_to_json(rows))
         assert len(doc) == 3
         assert set(doc[0]) == {
             "sweep_value", "mode", "streams", "sample_rate",

@@ -364,7 +364,7 @@ class TestRouting:
             for period in [s.period_ms for s in plan.streams] + [25]:
                 broker._handle_indication(Indication(1, period, period, (("K", period),)), 40)
             for xapp, peer in xapps.items():
-                period = plan.stream_for(xapp).period_ms
+                period = plan.streams[plan.fanout[xapp]].period_ms
                 assert peer.sent == [Indication(1, period, period, (("K", period),))]
 
     def test_retime_subscribes_the_new_period_before_dropping_the_old(self):
@@ -515,6 +515,54 @@ class TestIdleConnections:
             )
         finally:
             node.stop()
+
+
+class TestConnectionEnded:
+    def test_node_is_ended_soon_after_the_broker_stops(self):
+        broker = Broker()
+        broker.start()
+        node = NodeEmulator(*broker.address, node_id=7)
+        node.start()
+        try:
+            assert not node.ended.is_set()
+            broker.stop()
+            assert node.ended.wait(1)
+            assert node.reason
+        finally:
+            node.stop()
+
+    def test_xapp_is_ended_soon_after_the_broker_stops(self):
+        broker = Broker()
+        broker.start()
+        client = XAppClient(*broker.address, 70)
+        client.connect()
+        try:
+            assert not client.ended.is_set()
+            broker.stop()
+            assert client.ended.wait(1)
+            assert client.reason
+        finally:
+            client.close()
+
+    def test_node_is_ended_when_its_emitter_cannot_send(self, broker):
+        node = NodeEmulator(*broker.address, node_id=8)
+        node.start()
+        node._peer.send = lambda msg: False
+        client = XAppClient(*broker.address, 80)
+        client.connect()
+        try:
+            assert client.subscribe(8, (SubscriptionItem("K0", 20),)).accepted
+            assert node.ended.wait(5)
+            assert node.reason == "send failed"
+        finally:
+            client.close()
+            node.stop()
+
+    def test_a_stopped_node_is_not_ended(self, broker):
+        node = NodeEmulator(*broker.address, node_id=9)
+        node.start()
+        node.stop()
+        assert not node.ended.is_set() and node.reason is None
 
 
 class TestLiveMode:
