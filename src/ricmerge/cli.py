@@ -21,7 +21,7 @@ import logging
 import math
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import scenario
 from .power import MeasurementPoint, calibrate
@@ -57,6 +57,20 @@ def _parse_range(text: str, axis: SweepAxis) -> list[float]:
         values.append(round(value, 9))
         value += step
     return values
+
+
+def _parse_duration(text: str) -> float:
+    """A ``--duration``: seconds in [0, ``threading.TIMEOUT_MAX``], the
+    longest ``Event.wait`` takes."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan  # rejected below, with the range in the message
+    if not 0 <= seconds <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"want seconds in [0, {threading.TIMEOUT_MAX:g}]: {text!r}"
+        )
+    return seconds
 
 
 def _is_number(text: str) -> bool:
@@ -126,10 +140,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         model = calibrate(points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    fields = {
-        "ric_static_watts": model.p_ric_static_watts,
-        "watts_per_sample_rate": model.watts_per_sample_rate,
-    }
+    fields = asdict(model)
     if args.format == "json":
         text = json.dumps(fields, indent=2) + "\n"
     else:
@@ -154,7 +165,7 @@ def _run(start, stop, ended: threading.Event, duration_s: float | None = None) -
 def _cmd_broker(args: argparse.Namespace) -> int:
     from . import wire
 
-    model = scenario.load_config(args.config)[1] if args.config else None
+    model = scenario.load_power(args.config) if args.config else None
     broker = wire.Broker(*_parse_address(args.listen), model, stats_interval_s=1.0)
     _run(broker.start, broker.stop, broker.accept_ended)
     if broker.accept_error is not None:
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_xapp = sub.add_parser("xapp", help="run an xApp client")
     p_xapp.add_argument("--broker", required=True, metavar="HOST:PORT")
     p_xapp.add_argument("--subscribe", required=True, metavar="FILE")
-    p_xapp.add_argument("--duration", type=float, default=None, metavar="SECONDS")
+    p_xapp.add_argument("--duration", type=_parse_duration, default=None, metavar="SECONDS")
     p_xapp.set_defaults(func=_cmd_xapp)
 
     return parser

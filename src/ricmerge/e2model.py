@@ -33,17 +33,23 @@ def check_period(period_ms: int) -> None:
         raise ValueError(f"report period out of range [1, {MAX_PERIOD_MS}] ms: {period_ms}")
 
 
-def _validate_item(kpi: KpiId, period_ms: int, sensitivity_ms: int | None) -> None:
-    if not kpi:
-        raise ValueError("KPI name must be non-empty")
-    check_period(period_ms)
+def check_tolerance(sensitivity_ms: int | None) -> None:
+    """Raise ``ValueError`` unless ``sensitivity_ms`` is ``None`` or >= 1."""
     if sensitivity_ms is not None and sensitivity_ms < 1:
         raise ValueError(f"staleness tolerance must be >= 1 ms: {sensitivity_ms}")
 
 
-def _validate_id(value: int, label: str) -> None:
+def check_id(value: int, label: str) -> None:
+    """Raise ``ValueError`` naming ``label`` if ``value`` is negative."""
     if value < 0:
         raise ValueError(f"{label} must be non-negative: {value}")
+
+
+def _validate_item(kpi: KpiId, period_ms: int, sensitivity_ms: int | None) -> None:
+    if not kpi:
+        raise ValueError("KPI name must be non-empty")
+    check_period(period_ms)
+    check_tolerance(sensitivity_ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +74,8 @@ class SubscriptionRequest:
     items: tuple[SubscriptionItem, ...]
 
     def __post_init__(self) -> None:
-        _validate_id(self.xapp, "xApp id")
-        _validate_id(self.node, "node id")
+        check_id(self.xapp, "xApp id")
+        check_id(self.node, "node id")
         object.__setattr__(self, "items", tuple(self.items))
         if not self.items:
             raise ValueError("subscription request must contain at least one item")
@@ -91,8 +97,8 @@ class KpiDemand:
     sensitivity_ms: int | None = None
 
     def __post_init__(self) -> None:
-        _validate_id(self.xapp, "xApp id")
-        _validate_id(self.node, "node id")
+        check_id(self.xapp, "xApp id")
+        check_id(self.node, "node id")
         _validate_item(self.kpi, self.period_ms, self.sensitivity_ms)
 
 

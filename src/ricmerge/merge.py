@@ -272,14 +272,15 @@ _fold_order = attrgetter("period_ms", "xapp")
 def _build_streams(demands: list[KpiDemand]) -> list[_Stream]:
     """Deterministic rebuild of the stream set for one (node, KPI).
 
-    Demands are folded in (period, xApp id) order; each joins the first
-    stream (period-ascending) that admits it, else opens its own. A
+    ``demands`` must come in (period, xApp id) order (``_fold_order``),
+    the order they are folded in; each joins the first stream
+    (period-ascending) that admits it, else opens its own. A
     consolidation pass then collapses stream pairs under the same rule
     until no pair can merge, which is what lets three or more demands
     end up on a single gcd-period stream.
     """
     streams: list[_Stream] = []
-    for demand in sorted(demands, key=_fold_order):
+    for demand in demands:
         streams.sort(key=_Stream.sort_key)
         if not any(_absorb(stream, demand.period_ms, [demand]) for stream in streams):
             streams.append(_Stream(demand.period_ms, [demand]))

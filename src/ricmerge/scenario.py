@@ -61,7 +61,9 @@ from .e2model import (
     SubscriptionItem,
     SubscriptionRequest,
     XAppId,
+    check_id,
     check_period,
+    check_tolerance,
     decompose,
     request_fingerprint,
 )
@@ -97,13 +99,11 @@ class SensitivityPolicy:
     def __post_init__(self) -> None:
         xapps = [xapp for xapp, _ in self.per_xapp]
         for xapp in xapps:
-            if xapp < 0:
-                raise ValueError(f"xApp id must be non-negative: {xapp}")
+            check_id(xapp, "xApp id")
             if xapps.count(xapp) > 1:
                 raise ValueError(f"xApp {xapp} has more than one tolerance")
         for tolerance in [tolerance for _, tolerance in self.per_xapp] + [self.fixed_ms]:
-            if tolerance is not None and tolerance < 1:
-                raise ValueError(f"staleness tolerance must be >= 1 ms: {tolerance}")
+            check_tolerance(tolerance)
 
     def tolerance_for(self, xapp: int) -> int | None:
         for xapp_id, tolerance in self.per_xapp:
@@ -360,11 +360,12 @@ def _price(
             f"{rate_no_dedup} must hold"
         )
 
+    gross_no_dedup = power.predict(model, float(rate_no_dedup))
     results = []
     for mode, (rate, bytes_sent, streams) in zip(MODE_ORDER, tally):
         bytes_per_sec = bytes_sent * 1000.0 / sim_cfg.horizon_ms
         gross = power.predict(model, float(rate))
-        saved = model.watts_per_sample_rate * float(rate_no_dedup - rate)
+        saved = gross_no_dedup - gross
         pct = saved / gross * 100.0 if saved else 0.0
         results.append(SweepRow(
             sweep_value, mode, streams, float(rate), bytes_per_sec, gross, saved, pct
@@ -556,8 +557,7 @@ _KEYS = {
     ("scenario", "sensitivity"): ("sensitivity", _parse_sensitivity),
     ("scenario", "mode"): ("mode", DedupMode),
     ("scenario", "seed"): ("seed", int),
-    ("power", "cpu_static_watts"): ("p_cpu_static_watts", float),
-    ("power", "ric_static_watts"): ("p_ric_static_watts", float),
+    ("power", "ric_static_watts"): ("ric_static_watts", float),
     ("power", "watts_per_sample_rate"): ("watts_per_sample_rate", float),
     ("sim", "horizon_ms"): ("horizon_ms", int),
     ("sim", "header_bytes"): ("header_bytes", int),
@@ -569,10 +569,11 @@ _KEYS = {
 }
 
 
-def _load(path: str, sections: tuple[str, ...], what: str) -> list:
-    """Build each section's object from the file; the first section is required."""
+def _load(path: str, sections: tuple[str, ...], what: str, required: bool = True) -> list:
+    """Build each named section's object from the file, reading no other
+    section; the first one is required when ``required`` is set."""
     parser = _read_sections(path)
-    if not parser.has_section(sections[0]):
+    if required and not parser.has_section(sections[0]):
         raise ConfigError(f"{path}: missing [{sections[0]}] section")
     built = []
     try:
@@ -597,6 +598,13 @@ def load_config(path: str) -> tuple[ScenarioSpec, PowerModel, SimConfig]:
     """
     spec, model, sim_cfg = _load(path, ("scenario", "power", "sim"), "config")
     return spec, model, sim_cfg
+
+
+def load_power(path: str) -> PowerModel:
+    """Parse only the [power] section of a config file; a file without one
+    gives the default model."""
+    (model,) = _load(path, ("power",), "config", required=False)
+    return model
 
 
 def load_subscribe(path: str) -> tuple[int, int, tuple[SubscriptionItem, ...]]:

@@ -7,10 +7,10 @@ captured output section); a failing assertion marks the criterion red.
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from ricmerge import power
 from ricmerge.e2model import (
     KpiDemand,
     SubscriptionItem,
@@ -28,7 +28,14 @@ from ricmerge.merge import (
     max_staleness,
 )
 from ricmerge.power import PowerModel
-from ricmerge.scenario import DedupMode, ScenarioSpec, compare
+from ricmerge.scenario import (
+    DedupMode,
+    ScenarioSpec,
+    SweepAxis,
+    compare,
+    load_config,
+    sweep,
+)
 from ricmerge.sim import SimConfig, _ticks, run as sim_run
 from ricmerge.wire import Broker, Indication, NodeEmulator, XAppClient, encode
 
@@ -36,6 +43,7 @@ from helpers import rows_by_mode, staleness_oracle
 
 MODEL = PowerModel()
 SIM = SimConfig(horizon_ms=10)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SCENARIOS = {
     "small": (10, 20),
@@ -49,58 +57,53 @@ def scenario_rate(name):
     return nodes * kpis * 100.0  # samples/s at the 10 ms default period
 
 
+def merged_row(nodes, kpis, redundancy, seed):
+    """The per-KPI merge row of ``compare`` on a uniform 10 ms deployment."""
+    rows = compare(ScenarioSpec(nodes, kpis, 10, redundancy, seed=seed), MODEL, SIM)
+    return rows_by_mode(rows)[DedupMode.PER_KPI_MERGE]
+
+
 def test_criterion_1_power_savings_reproduction():
-    assert MODEL.p_ric_static_watts == 34.5
+    assert MODEL.ric_static_watts == 34.5
     assert MODEL.watts_per_sample_rate == pytest.approx(4.674e-4, rel=1e-12)
 
-    started = time.perf_counter()
-    small_gross, small_saved, small_pct = power.savings(MODEL, scenario_rate("small"), 0.9)
-    medium_gross = power.predict(MODEL, scenario_rate("medium"))
-    _, medium_saved_low, _ = power.savings(MODEL, scenario_rate("medium"), 0.1)
-    _, medium_saved_high, _ = power.savings(MODEL, scenario_rate("medium"), 0.9)
-    large_gross = power.predict(MODEL, scenario_rate("large"))
-    _, large_saved_low, _ = power.savings(MODEL, scenario_rate("large"), 0.1)
-    _, large_saved_high, large_pct_high = power.savings(MODEL, scenario_rate("large"), 0.9)
-    elapsed = time.perf_counter() - started
+    # The merged row's gross is the deployment's duplicate-free draw, and
+    # its saving is taken against the no-dedup rate.
+    small = merged_row(*SCENARIOS["small"], 0.9, seed=1)
+    medium_low = merged_row(*SCENARIOS["medium"], 0.1, seed=2)
+    medium_high = merged_row(*SCENARIOS["medium"], 0.9, seed=2)
+    large_low = merged_row(*SCENARIOS["large"], 0.1, seed=3)
+    large_high = merged_row(*SCENARIOS["large"], 0.9, seed=3)
 
-    assert elapsed < 1.0
-    assert small_gross == pytest.approx(43.8, abs=0.2)
-    assert small_saved == pytest.approx(8.4, abs=0.2)
-    assert small_pct == pytest.approx(19.2, abs=1.0)
-    assert medium_gross == pytest.approx(268.2, abs=1.0)
-    assert medium_saved_low == pytest.approx(23.4, abs=0.5)
-    assert medium_saved_high == pytest.approx(210.0, abs=2.0)
-    assert large_gross >= 1400
-    assert large_saved_low >= 140
-    assert large_saved_high >= 1200
-    assert 87 <= large_pct_high <= 89
-
-    # The full pipeline (generated demands through the merge engine)
-    # reproduces the same numbers.
-    by_mode = rows_by_mode(compare(ScenarioSpec(10, 20, 10, 0.9, seed=1), MODEL, SIM))
-    merged = by_mode[DedupMode.PER_KPI_MERGE]
-    assert merged.gross_watts == pytest.approx(43.8, abs=0.2)
-    assert merged.saved_watts == pytest.approx(8.4, abs=0.2)
-    assert merged.saved_pct == pytest.approx(19.2, abs=1.0)
-    by_mode = rows_by_mode(compare(ScenarioSpec(100, 50, 10, 0.9, seed=2), MODEL, SIM))
-    assert by_mode[DedupMode.PER_KPI_MERGE].saved_watts == pytest.approx(210, abs=2)
-    by_mode = rows_by_mode(compare(ScenarioSpec(300, 100, 10, 0.9, seed=3), MODEL, SIM))
-    merged = by_mode[DedupMode.PER_KPI_MERGE]
-    assert merged.gross_watts >= 1400
-    assert merged.saved_watts >= 1200
-    assert 87 <= merged.saved_pct <= 89
+    assert small.gross_watts == pytest.approx(43.8, abs=0.2)
+    assert small.saved_watts == pytest.approx(8.4, abs=0.2)
+    assert small.saved_pct == pytest.approx(19.2, abs=1.0)
+    assert medium_high.gross_watts == pytest.approx(268.2, abs=1.0)
+    assert medium_low.saved_watts == pytest.approx(23.4, abs=0.5)
+    assert medium_high.saved_watts == pytest.approx(210.0, abs=2.0)
+    assert large_high.gross_watts >= 1400
+    assert large_low.saved_watts >= 140
+    assert large_high.saved_watts >= 1200
+    assert 87 <= large_high.saved_pct <= 89
 
     print(
-        f"\n[PASS] criterion 1: savings reproduction in {elapsed*1e3:.2f} ms "
-        f"(small {small_saved:.2f} W/{small_pct:.2f}%, medium {medium_saved_low:.2f}/"
-        f"{medium_saved_high:.2f} W, large {large_saved_low:.2f}/{large_saved_high:.2f} W"
-        f" at {large_pct_high:.2f}%)"
+        f"\n[PASS] criterion 1: savings reproduction (small {small.saved_watts:.2f} W/"
+        f"{small.saved_pct:.2f}%, medium {medium_low.saved_watts:.2f}/"
+        f"{medium_high.saved_watts:.2f} W, large {large_low.saved_watts:.2f}/"
+        f"{large_high.saved_watts:.2f} W at {large_high.saved_pct:.2f}%)"
     )
 
 
+def projection(config, axis, value):
+    """The gross watts ``sweep`` reports at one point of ``config``'s axis."""
+    spec, model, sim_cfg = load_config(str(CONFIGS / config))
+    (row,) = sweep(spec, model, sim_cfg, axis, [value])
+    return row.gross_watts
+
+
 def test_criterion_2_power_projections():
-    at_60_nodes = power.project_nodes(MODEL, 7, 10, 60)
-    at_80_kpis = power.project_nodes(MODEL, 80, 10, 4)
+    at_60_nodes = projection("node_sweep.cfg", SweepAxis.NODES, 60)
+    at_80_kpis = projection("kpi_sweep.cfg", SweepAxis.KPIS, 80)
     assert abs(at_60_nodes - 55) / 55 < 0.10
     assert abs(at_80_kpis - 50) / 50 < 0.10
     print(

@@ -71,6 +71,11 @@ class TestRun:
         assert code == 0
         assert out == (GOLDEN / "run_mixed.csv").read_text()
 
+    def test_medium_scenario_matches_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "run", REPO / "configs" / "medium.cfg")
+        assert code == 0
+        assert out == (GOLDEN / "run_medium.csv").read_text()
+
     def test_identical_invocations_identical_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "run", REPO / "configs" / "medium.cfg")
         _, second, _ = run_cli(capsys, "run", REPO / "configs" / "medium.cfg")
@@ -498,6 +503,19 @@ class TestLiveRoles:
         assert code == 1 and out == ""
         assert error_lines(err) == ["error: subscription rejected: unknown node"]
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-5", "1e300"])
+    def test_duration_out_of_range_exits_2(self, capsys, tmp_path, duration):
+        """Rejected when parsed: an xApp that tried to connect would exit 1."""
+        subscribe = tmp_path / "sub.cfg"
+        subscribe.write_text("[subscribe]\nxapp = 7\nnode = 4\nitems = K0:20\n")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "xapp", "--broker", "127.0.0.1:1", "--subscribe", str(subscribe),
+                "--duration", duration,
+            ])
+        assert exc.value.code == 2
+        assert "argument --duration: want seconds in [0, " in capsys.readouterr().err
+
     def test_xapp_without_a_broker_exits_1(self, capsys, tmp_path):
         subscribe = tmp_path / "sub.cfg"
         subscribe.write_text("[subscribe]\nxapp = 7\nnode = 4\nitems = K0:20\n")
@@ -540,6 +558,32 @@ class TestLiveRoles:
         code, out, err = run_cli(capsys, role, flag, address, *extra.get(role, []))
         assert code == 2 and out == ""
         assert error_lines(err) == [f"error: bad address (want host:port): {address!r}"]
+
+    def test_broker_reads_a_power_only_config(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "broker.cfg"
+        config.write_text("[power]\nric_static_watts = 40\nwatts_per_sample_rate = 1e-3\n")
+        models = []
+
+        class EndedBroker:
+            """Records its model and reports its accept loop ended at once."""
+
+            accept_error = None
+
+            def __init__(self, host, port, model, stats_interval_s):
+                models.append(model)
+                self.accept_ended = threading.Event()
+                self.accept_ended.set()
+
+            def start(self):
+                pass
+
+            def stop(self):
+                pass
+
+        monkeypatch.setattr(wire, "Broker", EndedBroker)
+        code, _, err = run_cli(capsys, "broker", "--listen", "127.0.0.1:0", "--config", config)
+        assert code == 0, err
+        assert models == [power.PowerModel(40, 1e-3)]
 
     def test_broker_on_a_port_in_use_exits_1(self, capsys):
         with socket.create_server(("127.0.0.1", 0)) as taken:

@@ -28,6 +28,7 @@ from ricmerge.scenario import (
     build,
     compare,
     load_config,
+    load_power,
     load_subscribe,
     rows_to_csv,
     rows_to_json,
@@ -641,7 +642,7 @@ class TestConfig:
         assert spec.period_mix == ((10, 0.5), (20, 0.5))
         assert spec.sensitivity.fixed_ms == 6
         assert spec.mode is DedupMode.NO_DEDUP
-        assert model.p_ric_static_watts == 40
+        assert model.ric_static_watts == 40
         assert sim_cfg.batching is Batching.PER_STREAM
         assert sim_cfg.header_bytes == 12
 
@@ -651,7 +652,7 @@ class TestConfig:
         spec, model, sim_cfg = load_config(str(path))
         assert spec.period_ms == 10 and spec.seed == 0
         assert spec.mode is DedupMode.PER_KPI_MERGE
-        assert model.p_ric_static_watts == 34.5
+        assert model.ric_static_watts == 34.5
         assert sim_cfg.horizon_ms == 1000
 
     def test_missing_file_raises_config_error(self):
@@ -678,6 +679,25 @@ class TestConfig:
         path.write_text("[scenario]\nnodes = 1\nkpis_per_node = 1\n[sim]\nhorizon = 20\n")
         with pytest.raises(ConfigError, match=r"'horizon' in \[sim\]"):
             load_config(str(path))
+
+    def test_cpu_static_watts_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "cpu.cfg"
+        path.write_text(
+            "[scenario]\nnodes = 1\nkpis_per_node = 1\n[power]\ncpu_static_watts = 28.0\n"
+        )
+        with pytest.raises(ConfigError, match=r"unknown key 'cpu_static_watts' in \[power\]"):
+            load_config(str(path))
+
+    def test_load_power_reads_the_power_section_alone(self, tmp_path):
+        path = tmp_path / "power.cfg"
+        path.write_text("[power]\nric_static_watts = 40\nwatts_per_sample_rate = 1e-3\n")
+        assert load_power(str(path)) == PowerModel(40, 1e-3)
+        # A [scenario] section is not read, so one without nodes is no error.
+        path.write_text("[scenario]\nkpis_per_node = 1\n")
+        assert load_power(str(path)) == PowerModel()
+        path.write_text("[power]\nric_static_watts = -1\n")
+        with pytest.raises(ConfigError, match="power.cfg: invalid config: ric_static_watts must be >= 0"):
+            load_power(str(path))
 
     def test_percent_sign_raises_config_error(self, tmp_path):
         path = tmp_path / "percent.cfg"
@@ -743,7 +763,7 @@ class TestConfig:
         path.write_text(example)
         spec, model, sim_cfg = load_config(str(path))
         assert (spec.nodes, spec.kpis_per_node, spec.mode) == (10, 20, DedupMode.PER_KPI_MERGE)
-        assert model.p_cpu_static_watts == 28.0
+        assert model == PowerModel(34.5, 4.674e-4)
         assert sim_cfg.batching is Batching.PER_NODE_PERIOD
 
     def test_bad_mode_raises(self, tmp_path):
