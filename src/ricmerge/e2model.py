@@ -9,7 +9,7 @@ baseline, which only recognizes requests of identical content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 KpiId = str
 E2NodeId = int
@@ -81,6 +81,8 @@ class SubscriptionRequest:
             raise ValueError("subscription request must contain at least one item")
         seen: set[KpiId] = set()
         for item in self.items:
+            if not isinstance(item, SubscriptionItem):
+                raise TypeError(f"request item is not a SubscriptionItem: {item!r}")
             if item.kpi in seen:
                 raise DuplicateKpiError(item.kpi)
             seen.add(item.kpi)
@@ -102,12 +104,36 @@ class KpiDemand:
         _validate_item(self.kpi, self.period_ms, self.sensitivity_ms)
 
 
+# Each KpiDemand field's slot writer, in field order (a new field fails
+# this unpacking). ``decompose`` fills a new demand through them;
+# ``KpiDemand(...)`` still validates.
+_new = object.__new__
+_set_xapp, _set_node, _set_kpi, _set_period, _set_sensitivity = (
+    KpiDemand.__dict__[field.name].__set__ for field in fields(KpiDemand)
+)
+
+
 def decompose(request: SubscriptionRequest) -> list[KpiDemand]:
-    """Split a request into per-KPI demands, preserving item order."""
-    return [
-        KpiDemand(request.xapp, request.node, item.kpi, item.period_ms, item.sensitivity_ms)
-        for item in request.items
-    ]
+    """Split a request into per-KPI demands, preserving item order.
+
+    Validation happens once, where the values enter: ``SubscriptionRequest``
+    checked the ids and that every item is a ``SubscriptionItem``, and each
+    item checked its own KPI, period and tolerance. So the demands' slots
+    are written straight from them, not through the validating
+    ``KpiDemand.__init__``; each demand equals, hashes and prints like the
+    one that constructor builds, and stays frozen.
+    """
+    xapp, node = request.xapp, request.node
+    demands = []
+    for item in request.items:
+        demand = _new(KpiDemand)
+        _set_xapp(demand, xapp)
+        _set_node(demand, node)
+        _set_kpi(demand, item.kpi)
+        _set_period(demand, item.period_ms)
+        _set_sensitivity(demand, item.sensitivity_ms)
+        demands.append(demand)
+    return demands
 
 
 def request_fingerprint(

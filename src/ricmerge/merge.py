@@ -448,21 +448,27 @@ class MergeState:
         touched groups that share a shape share one fold, folded and
         validated once per call.
         """
+        active = self._demands
         pending: dict[_Key, dict[XAppId, KpiDemand]] = {}
         for demand in demands:
+            xapp = demand.xapp
             key = (demand.node, demand.kpi)
-            active = self._demands.get(key, {}).get(demand.xapp)
-            group = pending.get(key, {})
-            conflicting = group.get(demand.xapp, active)
+            group = pending.get(key)
+            conflicting = None if group is None else group.get(xapp)
             if conflicting is None:
-                pending.setdefault(key, group)[demand.xapp] = demand
+                held = active.get(key)
+                conflicting = None if held is None else held.get(xapp)
+            if conflicting is None:
+                if group is None:
+                    group = pending[key] = {}
+                group[xapp] = demand
             elif conflicting != demand:
                 raise DuplicateDemandError(
                     f"xApp {demand.xapp} already subscribes to {demand.kpi!r} "
                     f"on node {demand.node}"
                 )
         for key, group in pending.items():
-            held = self._demands.setdefault(key, group)
+            held = active.setdefault(key, group)
             if held is not group:
                 held.update(group)
         folds: dict[_Shape, Fold] = {}

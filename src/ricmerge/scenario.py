@@ -27,7 +27,10 @@ requests on disjoint nodes never share a stream (a request's whole-request
 key covers its node, and merge groups are keyed on (node, KPI)). So the
 tally measures batches of whole nodes, each of at least
 ``_TALLY_DEMANDS`` demands, and adds their totals: only one batch's
-demands, layouts and sim state are alive at once.
+demands, layouts and sim state are alive at once. The cyclic garbage
+collector is paused while the tally runs: a batch's objects refer only
+to values made before them, so they form no cycle and reference counting
+frees them, and a collection would only walk them again.
 
 ``sweep`` repeats that along one axis of ``SWEEP_AXES``, which names
 the scenario field each axis sets, its type and its default grid. A
@@ -45,6 +48,7 @@ from __future__ import annotations
 import array
 import configparser
 import functools
+import gc
 import json
 import math
 import random
@@ -233,11 +237,13 @@ def _baseline_classes(requests: list[SubscriptionRequest], share: bool) -> list[
         kept.setdefault(key, (request, set()))[1].add(request.xapp)
     by_fold: dict[tuple[int, int], list[Group]] = {}
     for request, xapps in kept.values():
-        fed = tuple(sorted(xapps))
+        node, fed = request.node, tuple(sorted(xapps))
         for item in request.items:
-            by_fold.setdefault((item.period_ms, len(fed)), []).append(
-                (request.node, item.kpi, fed)
-            )
+            key = (item.period_ms, len(fed))
+            groups = by_fold.get(key)
+            if groups is None:
+                groups = by_fold[key] = []
+            groups.append((node, item.kpi, fed))
     return [
         PlanClass(Fold((period,), (tuple(range(fed)),)), groups)
         for (period, fed), groups in by_fold.items()
@@ -319,7 +325,8 @@ def _node_batches(
     demands: list[KpiDemand] = []
     for node_requests in by_node.values():
         batch += node_requests
-        demands += [d for r in node_requests for d in decompose(r)]
+        for request in node_requests:
+            demands += decompose(request)
         if len(demands) >= _TALLY_DEMANDS:
             yield batch, demands
             batch, demands = [], []
@@ -339,12 +346,26 @@ def _tally(requests: list[SubscriptionRequest], sim_cfg: SimConfig) -> _Tally:
     as measuring every demand at once: the error names the first
     over-long demand, and a node's duplicates only repeat periods of its
     baseline request, which comes before them.
+
+    The cyclic garbage collector is paused while the batches are
+    measured, and its previous state is restored on the way out, errors
+    included. Every object a batch makes (demands, pending and held
+    dicts, folds, classes, sim maps) refers only to values made before
+    it, never back, so the batches hold no reference cycles and
+    reference counting frees each one whole; a collection would only
+    walk them again.
     """
-    totals = _NO_TALLY
-    for batch, demands in _node_batches(requests):
-        tally = [_measure(mode, batch, demands, sim_cfg) for mode in MODE_ORDER]
-        totals = _add(totals, tally)
-    return totals
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        totals = _NO_TALLY
+        for batch, demands in _node_batches(requests):
+            tally = [_measure(mode, batch, demands, sim_cfg) for mode in MODE_ORDER]
+            totals = _add(totals, tally)
+        return totals
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _price(

@@ -13,10 +13,12 @@ All emission and consumption instants are known up front, so every
 total is computed in closed form once per class, distinct period (or
 node period set) rather than tick by tick; counts are exact for any
 horizon and reports are byte-identical across runs. ``run`` walks the
-classes once (horizon check and samples per class; the served-twice
-check and each node's periods per group) and the demands once (service
-check, staleness). The report holds the four totals the callers read:
-messages, samples and bytes sent, and each xApp's worst sample age.
+classes once (horizon check, samples and period set per class; the
+served-twice check per group, and each node's period set, which is the
+class's own unless the node's grows) and the demands once (service
+check; staleness once per distinct serving period, demanded period and
+xApp). The report holds the four totals the callers read: messages,
+samples and bytes sent, and each xApp's worst sample age.
 """
 
 from __future__ import annotations
@@ -66,19 +68,35 @@ def _ticks(period_ms: int, horizon_ms: int) -> int:
     return (horizon_ms - 1) // period_ms + 1
 
 
-def _union_ticks(periods: tuple[int, ...], horizon_ms: int) -> int:
+def _union_ticks(periods: Iterable[int], horizon_ms: int) -> int:
     """Instants in [0, horizon) on the grid of at least one period.
 
-    The union repeats every lcm(periods), so one window of
-    min(horizon, lcm) is marked and whole repeats are folded. The lcm of
-    a few coprime periods dwarfs any horizon and is never enumerated.
+    t = 0 is on every grid and is counted once. The instants in
+    [1, horizon) are counted by inclusion-exclusion over the period
+    subsets: a subset whose lcm is L holds (horizon - 1) // L of them,
+    added for odd subsets and subtracted for even ones. A subset whose
+    lcm exceeds horizon - 1 holds none, nor does any superset, so it is
+    pruned; subsets of equal lcm share one signed count. Nothing is kept
+    per instant, so a long horizon costs what a short one does.
     """
-    window = min(horizon_ms, math.lcm(*periods))
-    grid = bytearray(window)
+    last = horizon_ms - 1
+    # Each lcm up to ``last`` and its signed number of subsets.
+    terms: dict[int, int] = {}
     for period in periods:
-        grid[::period] = b"\x01" * _ticks(period, window)
-    repeats, rest = divmod(horizon_ms, window)
-    return repeats * grid.count(1) + grid[:rest].count(1)
+        if period > last:
+            continue
+        joined = {period: 1}
+        for lcm, count in terms.items():
+            lcm = math.lcm(lcm, period)
+            if lcm <= last:
+                joined[lcm] = joined.get(lcm, 0) - count
+        for lcm, count in joined.items():
+            count += terms.get(lcm, 0)
+            if count:
+                terms[lcm] = count
+            else:
+                terms.pop(lcm, None)
+    return 1 + sum(count * (last // lcm) for lcm, count in terms.items())
 
 
 def _worst_age(sample_period_ms: int, consume_period_ms: int, horizon_ms: int) -> int:
@@ -101,7 +119,8 @@ def run(
 ) -> SimReport:
     horizon = cfg.horizon_ms
     samples = 0
-    node_periods: dict[E2NodeId, set[int]] = {}
+    # Each node's stream periods; nodes of one class share its set.
+    node_periods: dict[E2NodeId, frozenset[int]] = {}
     # The period of the stream serving each (node, KPI, xApp).
     served: dict[tuple[E2NodeId, KpiId, XAppId], int] = {}
     for (periods, feeds), groups in classes:
@@ -113,8 +132,13 @@ def run(
             )
         samples += len(groups) * sum(_ticks(period, horizon) for period in periods)
         ranks = [(rank, period) for period, fed in zip(periods, feeds) for rank in fed]
+        period_set = frozenset(periods)
         for node, kpi, xapps in groups:
-            node_periods.setdefault(node, set()).update(periods)
+            held = node_periods.get(node)
+            if held is None:
+                node_periods[node] = period_set
+            elif not period_set <= held:
+                node_periods[node] = held | period_set
             for rank, period in ranks:
                 key = (node, kpi, xapps[rank])
                 if key in served:
@@ -123,22 +147,25 @@ def run(
 
     # Consumption: each xApp ticks on its own requested grid and sees the
     # newest sample from its assigned stream. t = 0 alignment makes the
-    # first tick fresh by construction.
+    # first tick fresh by construction. An xApp's worst age depends only
+    # on the serving and the demanded period, so each such triple is
+    # priced once.
     staleness: dict[XAppId, int] = {}
-    worst_ages: dict[tuple[int, int], int] = {}
+    priced: set[tuple[int, int, XAppId]] = set()
     for demand in demands:
-        period = served.get((demand.node, demand.kpi, demand.xapp))
+        xapp = demand.xapp
+        period = served.get((demand.node, demand.kpi, xapp))
         if period is None:
             raise ValueError(
-                f"demand not served by any plan: xApp {demand.xapp}, "
+                f"demand not served by any plan: xApp {xapp}, "
                 f"node {demand.node}, KPI {demand.kpi!r}"
             )
-        periods = (period, demand.period_ms)
-        age = worst_ages.get(periods)
-        if age is None:
-            age = worst_ages[periods] = _worst_age(*periods, horizon)
-        if age >= staleness.get(demand.xapp, 0):
-            staleness[demand.xapp] = age
+        key = (period, demand.period_ms, xapp)
+        if key not in priced:
+            priced.add(key)
+            age = _worst_age(period, demand.period_ms, horizon)
+            if age >= staleness.get(xapp, 0):
+                staleness[xapp] = age
 
     if cfg.batching is Batching.PER_STREAM:
         messages = samples
@@ -146,12 +173,12 @@ def run(
     else:
         # One message per node per instant on the union of its grids;
         # nodes sharing a period set share the count.
-        instants: dict[tuple[int, ...], int] = {}
+        instants: dict[frozenset[int], int] = {}
         messages = 0
         for periods in node_periods.values():
-            key = tuple(sorted(periods))
-            if key not in instants:
-                instants[key] = _union_ticks(key, horizon)
-            messages += instants[key]
+            count = instants.get(periods)
+            if count is None:
+                count = instants[periods] = _union_ticks(periods, horizon)
+            messages += count
         bytes_sent = messages * cfg.header_bytes + samples * cfg.bytes_per_sample
     return SimReport(messages, samples, bytes_sent, staleness)

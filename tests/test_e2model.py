@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ricmerge import wire
 from ricmerge.e2model import (
     DuplicateKpiError,
+    KpiDemand,
     SubscriptionItem,
     SubscriptionRequest,
     decompose,
@@ -26,6 +29,20 @@ class TestDecompose:
         demands = decompose(request(1, 1, [("a", 10), ("b", 20, 5)]))
         assert [d.kpi for d in demands] == ["a", "b"]
         assert demands[1].sensitivity_ms == 5
+
+    def test_item_that_is_not_a_subscription_item_rejected_by_name(self):
+        # ``decompose`` does not check again, so an object that merely has
+        # the item's fields (here an unchecked 0 ms period) must not pass.
+        class Lookalike:
+            kpi, period_ms, sensitivity_ms = "b", 0, None
+
+            def __repr__(self):
+                return "Lookalike(b, 0 ms)"
+
+        with pytest.raises(TypeError, match=r"not a SubscriptionItem: Lookalike\(b, 0 ms\)"):
+            SubscriptionRequest(1, 1, (SubscriptionItem("a", 10), Lookalike()))
+        with pytest.raises(TypeError, match=r"not a SubscriptionItem: \('a', 10\)"):
+            SubscriptionRequest(1, 1, (("a", 10),))
 
     def test_duplicate_kpi_rejected_with_offender(self):
         with pytest.raises(DuplicateKpiError) as exc:
@@ -97,6 +114,23 @@ def test_decompose_is_lossless(req):
         SubscriptionItem(d.kpi, d.period_ms, d.sensitivity_ms) for d in demands
     )
     assert rebuilt == req.items
+
+
+@given(requests_strategy)
+def test_decompose_equals_the_validating_constructor(req):
+    """``decompose`` writes the slots without ``KpiDemand.__init__``; its
+    demands are indistinguishable from the constructor's and stay frozen."""
+    demands = decompose(req)
+    built = [
+        KpiDemand(req.xapp, req.node, item.kpi, item.period_ms, item.sensitivity_ms)
+        for item in req.items
+    ]
+    assert demands == built
+    assert [hash(d) for d in demands] == [hash(d) for d in built]
+    assert [repr(d) for d in demands] == [repr(d) for d in built]
+    assert all(type(d) is KpiDemand for d in demands)
+    with pytest.raises(FrozenInstanceError):
+        demands[0].period_ms = 1
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import itertools
 import pathlib
 import random
@@ -34,12 +35,13 @@ from ricmerge.scenario import (
     rows_to_json,
     sweep,
 )
-from ricmerge.sim import Batching, SimConfig
+from ricmerge.sim import Batching, SimConfig, run as sim_run
 
 from helpers import rows_by_mode
 
 MODEL = PowerModel()
 SIM = SimConfig(horizon_ms=100)
+CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
 
 
 def content_bytes(request):
@@ -220,6 +222,37 @@ def test_build_keeps_no_table_per_node_and_kpi():
         tracemalloc.stop()
     assert len(requests) == 600
     assert peak - kept < 1_000_000
+
+
+class TestCollectorPause:
+    """``_tally`` measures with the cyclic collector paused and gives it
+    back as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled, monkeypatch):
+        during = []
+        monkeypatch.setattr(
+            scenario, "sim_run", lambda *args: during.append(gc.isenabled()) or sim_run(*args)
+        )
+        requests = build(ScenarioSpec(3, 4, redundancy_fraction=0.5, seed=1))
+        too_long = build(ScenarioSpec(2, 2, period_ms=200))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            scenario._tally(requests, SIM)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="shorter than stream period"):
+                scenario._tally(too_long, SIM)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during and not any(during)
+
+    def test_no_cyclic_garbage_left_behind(self):
+        spec, model, sim_cfg = load_config(str(CONFIGS / "mixed.cfg"))
+        gc.collect()
+        compare(spec, model, sim_cfg)
+        assert gc.collect() == 0
 
 
 class TestCompare:

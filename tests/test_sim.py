@@ -12,7 +12,7 @@ from ricmerge.merge import (
     StreamSpec,
     TransmissionPlan,
 )
-from ricmerge.sim import Batching, SimConfig, SimReport, run
+from ricmerge.sim import Batching, SimConfig, SimReport, _union_ticks, run
 
 from helpers import staleness_oracle
 
@@ -338,3 +338,25 @@ class TestHyperperiodLongerThanHorizon:
         # consumer ticks 0 and 991 see the t = 0 sample only
         assert report.per_xapp_max_staleness == {1: 991}
         assert report == reference_run(plans, demands, cfg)
+
+
+class TestUnionTicks:
+    @given(
+        st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True),
+        st.integers(1, 500),
+    )
+    def test_matches_brute_force(self, periods, horizon):
+        expected = sum(1 for t in range(horizon) if any(t % p == 0 for p in periods))
+        assert _union_ticks(periods, horizon) == expected
+
+    def test_long_horizon_keeps_no_grid(self):
+        # t = 0, 5016 multiples of 9967, 5013 of 9973, none of both below
+        # the horizon: 10,030 instants, counted without a per-instant grid.
+        tracemalloc.start()
+        try:
+            count = _union_ticks((9967, 9973), 50_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 10_030
+        assert peak < 1 << 20
