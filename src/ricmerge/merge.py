@@ -22,25 +22,27 @@ g*b with coprime a, b >= 2 the merged stream needs a*b samples against
 a+b for the pair, and a*b >= a+b. It becomes profitable only once three
 or more demands accumulate on a stream, which is why plans are rebuilt
 from the full demand set (including a stream consolidation pass) rather
-than patched incrementally. Within one bulk insert, groups of the same
-(period, tolerance) shape share one fold.
+than patched incrementally.
 
 The engine keeps each group as its shape's :class:`Fold` plus its xApp
 ids in rank order, and nothing else: that pair is the only plan state.
-A fold is validated once, through the :class:`TransmissionPlan` of the
-first group that has it, which is then dropped; a caller that asks for
-a plan gets one built from the fold. :meth:`MergeState.classes` hands
-the simulator each fold with the groups that share it, and the live
-broker keeps :meth:`MergeState.groups` as its routing snapshot and fans
-indications out through :func:`fed_at`.
+The state holds one fold per live (period, tolerance) shape, with the
+number of groups that hold it, and frees it with its last group. So a
+group whose new shape is already held is neither folded nor validated
+again; a new shape is validated through the :class:`TransmissionPlan`
+of its first group, which is then dropped. A caller that asks for a plan
+gets one built from the fold. :meth:`MergeState.classes` hands the
+simulator each fold with the groups that share it, and the live broker
+routes each (node, KPI) by its group and fans indications out through
+:func:`fed_at`.
 
 Every mutation returns the plan edit it caused as a :class:`PlanEdit`, a
 sequence of :class:`StreamChange` items: for each touched group in turn,
 the streams the node must stop (REMOVED), then those it must start
 (ADDED). A retimed stream is one of each. The edit keeps only each
-group's stream periods before and after, and builds its changes when
-first read, so a caller that drops it, as ``scenario.compare`` does,
-builds none.
+group's stream periods before and the group after, and builds its
+changes when first read, so a caller that drops it, as
+``scenario.compare`` does, builds none.
 """
 
 from __future__ import annotations
@@ -72,10 +74,15 @@ class DecisionKind(str, Enum):
 
 def classes_sample_rate(classes: Iterable["PlanClass"]) -> Fraction:
     """Exact samples per second of every stream of every group of ``classes``."""
+    return _sample_rate((fold, len(groups)) for fold, groups in classes)
+
+
+def _sample_rate(counted: Iterable[tuple["Fold", int]]) -> Fraction:
+    """Exact samples per second of ``count`` groups of each ``(fold, count)``."""
     by_period: dict[int, int] = {}
-    for fold, groups in classes:
+    for fold, count in counted:
         for period in fold.periods:
-            by_period[period] = by_period.get(period, 0) + len(groups)
+            by_period[period] = by_period.get(period, 0) + count
     rate = Fraction(0)
     for period, count in by_period.items():
         rate += Fraction(1000 * count, period)
@@ -308,30 +315,29 @@ _Shape = tuple[tuple[int, int | None], ...]
 _Key = tuple[E2NodeId, KpiId]
 
 
-def _fold(
-    demands: Iterable[KpiDemand], folds: dict[_Shape, Fold]
-) -> tuple[Fold, tuple[XAppId, ...], bool]:
-    """One group's fold and xApp ids in rank order, folding its shape only
-    if ``folds`` lacks it; the flag says whether it did.
+def _fold(ordered: list[KpiDemand], xapps: tuple[XAppId, ...]) -> Fold:
+    """The fold of one group, given its demands in fold order and their xApps.
 
     :func:`_build_streams` reads nothing but the shape: it breaks ties by
     xApp id, and in fold order ids sort like ranks. So one fold, kept as
     ranks, serves every group of that shape once the ranks name its own
     xApps.
     """
-    ordered = sorted(demands, key=_fold_order)
-    xapps = tuple(map(_xapp_of, ordered))
-    shape = tuple(map(_shape_of, ordered))
-    fold = folds.get(shape)
-    if fold is not None:
-        return fold, xapps, False
     rank = dict(zip(xapps, range(len(xapps))))
     streams = _build_streams(ordered)
-    fold = folds[shape] = Fold(
+    return Fold(
         tuple([s.period_ms for s in streams]),
         tuple([tuple([rank[m.xapp] for m in s.members]) for s in streams]),
     )
-    return fold, xapps, True
+
+
+class _Held:
+    """One live shape: its fold and the number of groups that hold it."""
+
+    __slots__ = ("shape", "fold", "holders")
+
+    def __init__(self, shape: _Shape, fold: Fold) -> None:
+        self.shape, self.fold, self.holders = shape, fold, 0
 
 
 def _plan(key: _Key, fold: Fold, xapps: tuple[XAppId, ...]) -> TransmissionPlan:
@@ -358,27 +364,33 @@ def _diff_periods(
     ] + [StreamChange(ChangeAction.ADDED, StreamSpec(*key, p)) for p in after if p not in before]
 
 
-# One touched group: its key and its stream periods before and after.
-_Touch = tuple[_Key, tuple[int, ...], tuple[int, ...]]
+# One touched group: its key, its stream periods before, and the group
+# after (None once it has no demand).
+Touch = tuple[_Key, tuple[int, ...], GroupPlan | None]
 
 
 class PlanEdit(Sequence[StreamChange]):
     """The plan edit of one mutation: each touched group's changes, from
     :func:`_diff_periods`, in the order the groups were touched.
 
-    Kept as the touched groups' periods; the changes are built when the
-    edit is first read. It equals any sequence of the same changes.
+    Kept as ``touched``, one :data:`Touch` per touched group in that
+    order; the changes are built when the edit is first read. It equals
+    any sequence of the same changes.
     """
 
-    __slots__ = ("_touched", "_changes")
+    __slots__ = ("touched", "_changes")
 
-    def __init__(self, touched: list[_Touch]) -> None:
-        self._touched = touched
+    def __init__(self, touched: list[Touch]) -> None:
+        self.touched = touched
         self._changes: list[StreamChange] | None = None
 
     def _built(self) -> list[StreamChange]:
         if self._changes is None:
-            self._changes = [c for touch in self._touched for c in _diff_periods(*touch)]
+            self._changes = [
+                c
+                for key, before, group in self.touched
+                for c in _diff_periods(key, before, group[0].periods if group else ())
+            ]
         return self._changes
 
     def __len__(self) -> int:
@@ -412,6 +424,11 @@ class MergeState:
         self._demands: dict[_Key, dict[XAppId, KpiDemand]] = {}
         # Each group's fold and its xApp ids in rank order.
         self._groups: dict[_Key, GroupPlan] = {}
+        # Every live shape, found by shape and by its fold's identity.
+        self._shapes: dict[_Shape, _Held] = {}
+        self._held: dict[int, _Held] = {}
+        # Each xApp's keys, in the order it subscribed to them.
+        self._keys: dict[XAppId, dict[_Key, None]] = {}
 
     def plan_for(self, node: E2NodeId, kpi: KpiId) -> TransmissionPlan | None:
         """The group's plan, built from its fold on every call."""
@@ -444,9 +461,7 @@ class MergeState:
 
         Either every demand is admitted (exactly identical re-submissions
         are ignored) or the state is left untouched. A group the state
-        does not hold yet keeps the checked pending dict as its own. The
-        touched groups that share a shape share one fold, folded and
-        validated once per call.
+        does not hold yet keeps the checked pending dict as its own.
         """
         active = self._demands
         pending: dict[_Key, dict[XAppId, KpiDemand]] = {}
@@ -467,26 +482,39 @@ class MergeState:
                     f"xApp {demand.xapp} already subscribes to {demand.kpi!r} "
                     f"on node {demand.node}"
                 )
+        keys_of = self._keys
         for key, group in pending.items():
             held = active.setdefault(key, group)
             if held is not group:
                 held.update(group)
-        folds: dict[_Shape, Fold] = {}
-        return PlanEdit([self._recompute(key, folds) for key in sorted(pending)])
+            for xapp in group:
+                keys = keys_of.get(xapp)
+                if keys is None:
+                    keys_of[xapp] = {key: None}
+                else:
+                    keys[key] = None
+        return PlanEdit([self._recompute(key) for key in sorted(pending)])
 
     def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> PlanEdit:
-        return PlanEdit([self._remove(xapp, (node, kpi))])
+        key = (node, kpi)
+        touch = self._remove(xapp, key)
+        keys = self._keys[xapp]
+        del keys[key]
+        if not keys:
+            del self._keys[xapp]
+        return PlanEdit([touch])
 
     def remove_xapp(self, xapp: XAppId) -> PlanEdit:
-        """Drop every demand of one xApp (e.g. on disconnect)."""
-        keys = [k for k, g in self._demands.items() if xapp in g]
-        return PlanEdit([self._remove(xapp, key) for key in keys])
+        """Drop every demand of one xApp (e.g. on disconnect), in the order
+        it subscribed to them; walks only that xApp's keys."""
+        return PlanEdit([self._remove(xapp, key) for key in self._keys.pop(xapp, ())])
 
     def total_sample_rate(self) -> Fraction:
-        """Aggregate samples per second over all planned streams."""
-        return classes_sample_rate(self.classes())
+        """Aggregate samples per second over all planned streams, summed
+        over the live shapes."""
+        return _sample_rate((held.fold, held.holders) for held in self._shapes.values())
 
-    def _remove(self, xapp: XAppId, key: _Key) -> _Touch:
+    def _remove(self, xapp: XAppId, key: _Key) -> Touch:
         group = self._demands.get(key, {})
         if xapp not in group:
             node, kpi = key
@@ -496,23 +524,37 @@ class MergeState:
         del group[xapp]
         if not group:
             del self._demands[key]
-        return self._recompute(key, {})
+        return self._recompute(key)
 
-    def _recompute(self, key: _Key, folds: dict[_Shape, Fold]) -> _Touch:
-        """Refold one group, reusing the shapes in ``folds``; returns its
-        periods before and after.
+    def _recompute(self, key: _Key) -> Touch:
+        """Refold one group, taking the fold of its shape if the state
+        holds it, then release the group's old fold.
 
-        The first group of a new shape validates its fold by building its
-        plan through :class:`TransmissionPlan`; the plan is not kept.
+        A shape new to the state is folded and validated by building its
+        first group's plan through :class:`TransmissionPlan`; the plan is
+        not kept.
         """
         old = self._groups.get(key)
-        before = old[0].periods if old else ()
         demands = self._demands.get(key)
-        if not demands:
-            self._groups.pop(key, None)
-            return key, before, ()
-        fold, xapps, new_shape = _fold(demands.values(), folds)
-        self._groups[key] = (fold, xapps)
-        if new_shape:
-            _plan(key, fold, xapps)
-        return key, before, fold.periods
+        group = None
+        if demands:
+            ordered = sorted(demands.values(), key=_fold_order)
+            xapps = tuple(map(_xapp_of, ordered))
+            shape = tuple(map(_shape_of, ordered))
+            held = self._shapes.get(shape)
+            if held is None:
+                fold = _fold(ordered, xapps)
+                _plan(key, fold, xapps)
+                held = self._shapes[shape] = self._held[id(fold)] = _Held(shape, fold)
+            held.holders += 1
+            group = self._groups[key] = (held.fold, xapps)
+        else:
+            del self._groups[key]
+        if old is None:
+            return key, (), group
+        fold = old[0]
+        held = self._held[id(fold)]
+        held.holders -= 1
+        if not held.holders:
+            del self._held[id(fold)], self._shapes[held.shape]
+        return key, fold.periods, group

@@ -16,10 +16,12 @@ SCTP, no security).
 
 Subscription mutations are serialized through one broker-side lock, and
 every push to a node goes out under it: the setup reply and backlog, then
-each commit's added and removed streams. Indication fan-out reads the
-engine's groups (each a fold plus its xApps) as a snapshot that is
-swapped atomically whenever they change, and asks
-:func:`~ricmerge.merge.fed_at` which xApps a stream feeds.
+each commit's added and removed streams. A commit writes only the
+(node, KPI) routing entries it touched, each the engine's group (a fold
+plus its xApps). Indication fan-out reads them unlocked, one KPI at a
+time, and asks :func:`~ricmerge.merge.fed_at` which xApps a stream
+feeds; each store is atomic, so every sample is routed by its group's
+plan before or after a commit.
 
 Threads: the broker runs an accept thread, one thread per connection and
 a stats thread; a node runs a reader and an emitter; an xApp runs a
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 from . import power
 from .e2model import SubscriptionItem, SubscriptionRequest, decompose
-from .merge import ChangeAction, DuplicateDemandError, MergeState, UnknownDemandError, fed_at
+from .merge import DuplicateDemandError, GroupPlan, MergeState, Touch, UnknownDemandError, fed_at
 from .power import PowerModel
 
 logger = logging.getLogger("ricmerge.wire")
@@ -165,18 +167,6 @@ def read_optional_u64(data: bytes, pos: int) -> tuple[int | None, int]:
     return read_u64(data, pos + 1) if present else (None, pos + 1)
 
 
-def pack_pair(pair: tuple[str, int]) -> bytes:
-    """A (name, u64) row, such as an indication's (KPI, sample time)."""
-    name, value = pair
-    return pack_name(name) + pack_u64(value)
-
-
-def read_pair(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
-    name, pos = read_name(data, pos)
-    value, pos = read_u64(data, pos)
-    return (name, value), pos
-
-
 def pack_item(item: SubscriptionItem) -> bytes:
     """A subscription item: the (KPI, period) pair, then the optional tolerance."""
     return pack_name(item.kpi) + pack_u64(item.period_ms) + pack_optional_u64(item.sensitivity_ms)
@@ -184,7 +174,8 @@ def pack_item(item: SubscriptionItem) -> bytes:
 
 def read_item(data: bytes, pos: int) -> tuple[SubscriptionItem, int]:
     """Raises ``ValueError`` for an item that ``SubscriptionItem`` rejects."""
-    (kpi, period), pos = read_pair(data, pos)
+    kpi, pos = read_name(data, pos)
+    period, pos = read_u64(data, pos)
     tolerance, pos = read_optional_u64(data, pos)
     return SubscriptionItem(kpi, period, tolerance), pos
 
@@ -206,9 +197,37 @@ def _counted(write, read):
     return write_rows, read_rows
 
 
+def pack_pairs(rows: tuple[tuple[str, int], ...]) -> bytes:
+    """A u64 row count, then each (name, u64) row, such as an indication's
+    (KPI, sample time): the name as :func:`pack_name` writes it, then the value."""
+    parts = [pack_u64(len(rows))]
+    for name, value in rows:
+        raw = name.encode("utf-8")
+        parts += (pack_u64(len(raw)), raw, pack_u64(value))
+    return b"".join(parts)
+
+
+def read_pairs(data: bytes, pos: int) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Inverse of :func:`pack_pairs`, in one loop; a name that is not UTF-8
+    raises ``UnicodeDecodeError``, as in :func:`read_name`."""
+    unpack = _U64.unpack_from
+    (count,) = unpack(data, pos)
+    pos += 8
+    size = len(data)
+    rows = []
+    for _ in range(count):
+        start = pos + 8
+        pos = start + unpack(data, pos)[0]
+        if pos + 8 > size:
+            raise struct.error("row runs past the end of the data")
+        rows.append((data[start:pos].decode("utf-8"), unpack(data, pos)[0]))
+        pos += 8
+    return tuple(rows), pos
+
+
 _NAME = (pack_name, read_name)
 _ITEMS = _counted(pack_item, read_item)
-_PAIRS = _counted(pack_pair, read_pair)
+_PAIRS = (pack_pairs, read_pairs)
 
 
 class _Layout:
@@ -340,6 +359,14 @@ class _Peer:
     """A connected socket with serialized writes and the one read loop."""
 
     def __init__(self, sock: socket.socket) -> None:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Frames go out whole: Nagle's algorithm with delayed ACKs held
+            # indications back for tens of ms. Some systems refuse the option
+            # on a connection the peer has already reset; that one ends anyway.
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass
         self.sock = sock
         self._send_lock = threading.Lock()
         self.reason = "stopped"  # why messages() ended, for the caller's log
@@ -433,8 +460,8 @@ class Broker:
         self._engine = MergeState()
         self._nodes: dict[int, _Peer] = {}
         self._xapps: dict[int, _Peer] = {}
-        # Snapshot of the engine's groups; replaced wholesale on change.
-        self._routing = self._engine.groups()
+        # The engine's groups by (node, KPI); a commit rewrites the keys it touched.
+        self._routing: dict[tuple[int, str], GroupPlan] = {}
         self.node_traffic: dict[int, NodeTraffic] = {}
 
     @property
@@ -586,7 +613,7 @@ class Broker:
                 failure = "unknown node"
             else:
                 try:
-                    self._commit(self._engine.add_demands(decompose(request)))
+                    self._commit(self._engine.add_demands(decompose(request)).touched)
                 except DuplicateDemandError as exc:
                     failure = str(exc)
         if failure is not None:
@@ -598,13 +625,13 @@ class Broker:
         """Drop the named demands; one warning names those the broker does not hold."""
         unknown = []
         with self._lock:
-            changes = []
+            touched = []
             for kpi, _period in msg.items:
                 try:
-                    changes.extend(self._engine.remove_demand(msg.sender, msg.node, kpi))
+                    touched += self._engine.remove_demand(msg.sender, msg.node, kpi).touched
                 except UnknownDemandError:
                     unknown.append(kpi)
-            self._commit(changes)
+            self._commit(touched)
         if unknown:
             logger.warning(
                 "xApp %d: unsubscribe of %d items not held on node %d, first %s",
@@ -619,7 +646,7 @@ class Broker:
         traffic.messages += 1
         traffic.samples += len(msg.samples)
         traffic.bytes += frame_len
-        routing = self._routing  # snapshot reference; safe to read unlocked
+        routing = self._routing  # read unlocked: each key's store is atomic
         per_xapp: dict[int, list[tuple[str, int]]] = {}
         for kpi, sample_time in msg.samples:
             group = routing.get((msg.node, kpi))
@@ -632,24 +659,33 @@ class Broker:
                     Indication(msg.node, msg.emit_time_ms, msg.period_ms, tuple(samples))
                 )
 
-    def _commit(self, changes) -> None:
-        """Publish the engine's groups and push ``changes`` to the nodes; hold the lock.
+    def _commit(self, touched: list[Touch]) -> None:
+        """Route each touched group as it now stands and push its stream
+        changes to its node; hold the lock.
 
-        Each node gets its ADDED streams as one Subscribe, then its REMOVED
-        streams as one Unsubscribe, each in the order of ``changes``. So a
-        retimed KPI is never without a stream on its node. No (KPI, period)
-        is both added and dropped in one commit, so the order cannot undo
-        an add.
+        Each node gets the streams that appeared as one Subscribe, then
+        those that vanished as one Unsubscribe, each in touch order and by
+        period within a group. So a retimed KPI is never without a stream on
+        its node. No (KPI, period) is both added and dropped in one commit,
+        so the order cannot undo an add.
         """
-        self._routing = self._engine.groups()
+        routing = self._routing
         adds: dict[int, list[SubscriptionItem]] = {}
         drops: dict[int, list[tuple[str, int]]] = {}
-        for change in changes:
-            s = change.stream
-            if change.action is ChangeAction.ADDED:
-                adds.setdefault(s.node, []).append(SubscriptionItem(s.kpi, s.period_ms))
+        for key, before, group in touched:
+            node, kpi = key
+            if group is None:
+                del routing[key]
+                after = ()
             else:
-                drops.setdefault(s.node, []).append((s.kpi, s.period_ms))
+                routing[key] = group
+                after = group[0].periods
+            gone = [(kpi, p) for p in before if p not in after]
+            if gone:
+                drops.setdefault(node, []).extend(gone)
+            new = [SubscriptionItem(kpi, p) for p in after if p not in before]
+            if new:
+                adds.setdefault(node, []).extend(new)
         for message, per_node in ((Subscribe, adds), (Unsubscribe, drops)):
             for node, items in per_node.items():
                 peer = self._nodes.get(node)
@@ -663,7 +699,7 @@ class Broker:
                 del self._nodes[node_id]
             if xapp_id is not None and self._xapps.get(xapp_id) is peer:
                 del self._xapps[xapp_id]
-                self._commit(self._engine.remove_xapp(xapp_id))
+                self._commit(self._engine.remove_xapp(xapp_id).touched)
 
 
 class NodeEmulator:

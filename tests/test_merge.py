@@ -715,3 +715,80 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
     assert bulk.plans() == want_plans
     # The corpus must reach every branch of the rule.
     assert gcd_streams > 20 and tolerated > 20 and divisible > 20 and split > 20
+
+
+# One op of a bookkeeping script: ("add", xApp, group, period, tolerance),
+# ("remove", xApp, group) or ("remove_xapp", xApp). Removals of demands
+# the state does not hold are skipped.
+bookkeeping_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.integers(0, 4),
+            st.integers(0, 2),
+            st.sampled_from([2, 3, 4, 6, 10, 15]),
+            st.none() | st.integers(1, 8),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 4), st.integers(0, 2)),
+        st.tuples(st.just("remove_xapp"), st.integers(0, 4)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300)
+@given(bookkeeping_ops)
+def test_fold_table_follows_every_op(ops):
+    """The state's fold table is exact after every op: the running rate
+    equals the rate read from ``classes()``, the groups equal a bulk
+    rebuild, every group of one shape holds the same fold object however
+    it was added, and the table keeps a fold exactly while a group holds it."""
+    state, active = MergeState(), {}
+    for op in ops:
+        if op[0] == "add":
+            _, xapp, group, period, tolerance = op
+            d = demand(xapp, period, tolerance, node=group)
+            if (xapp, group) in active and active[xapp, group] != d:
+                continue
+            active[xapp, group] = d
+            state.add_demand(d)
+        elif op[0] == "remove":
+            _, xapp, group = op
+            if active.pop((xapp, group), None) is None:
+                continue
+            state.remove_demand(xapp, group, "a")
+        else:
+            state.remove_xapp(op[1])
+            active = {k: d for k, d in active.items() if k[0] != op[1]}
+
+        assert state.total_sample_rate() == classes_sample_rate(state.classes())
+        bulk = MergeState()
+        bulk.add_demands(state.demands())
+        groups = state.groups()
+        assert groups == bulk.groups()
+        assert sorted(map(repr, state.demands())) == sorted(map(repr, active.values()))
+        fold_of_shape = {}
+        for (node, _), (fold, _) in groups.items():
+            shape = fold_shape([d for (_, g), d in active.items() if g == node])
+            assert fold_of_shape.setdefault(shape, fold) is fold
+        held = {id(h.fold): h.holders for h in state._shapes.values()}
+        holders = {}
+        for fold, _ in groups.values():
+            holders[id(fold)] = holders.get(id(fold), 0) + 1
+        assert held == holders
+        assert state._held.keys() == held.keys()
+
+
+def test_equal_shapes_share_one_fold_across_calls():
+    state = MergeState()
+    for node in range(3):
+        state.add_demand(demand(1, 10, node=node))
+        state.add_demand(demand(2, 15, 6, node=node))
+    folds = [fold for fold, _ in state.groups().values()]
+    assert folds[0] is folds[1] is folds[2]
+    state.remove_xapp(2)
+    state.remove_demand(1, 0, "a")
+    state.remove_demand(1, 1, "a")
+    assert [h.holders for h in state._shapes.values()] == [1]
+    state.remove_demand(1, 2, "a")
+    assert state._shapes == {} and state._held == {} and state._keys == {}

@@ -3,6 +3,7 @@ import logging
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -152,6 +153,24 @@ wire_messages = st.one_of(
 @given(wire_messages)
 def test_codec_round_trip(msg):
     assert decode(encode(msg)) == msg
+
+
+pair_rows = st.lists(st.tuples(st.text(max_size=6), u64), max_size=4).map(tuple)
+
+
+@given(
+    st.one_of(
+        st.builds(Unsubscribe, u64, u64, pair_rows),
+        st.builds(Indication, u64, u64, u64, pair_rows),
+    )
+)
+def test_pair_frames_round_trip_and_every_truncation_is_rejected(msg):
+    frame = encode(msg)
+    assert decode(frame) == msg
+    # Each shorter body, under a length prefix that matches it.
+    for end in range(5, len(frame)):
+        with pytest.raises(CodecError):
+            decode(struct.pack(">I", end - 4) + frame[4:end])
 
 
 @pytest.fixture
@@ -482,6 +501,173 @@ class TestRouting:
         assert errors == []
 
 
+class CountingDict(dict):
+    """A dict that logs the keys stored or deleted through it, calling
+    ``on_write(key)`` after each, and counts the entries walks over it read."""
+
+    def __init__(self, *args, on_write=None):
+        super().__init__(*args)
+        self.written = []
+        self.walked = 0
+        self.on_write = on_write
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self._wrote(key)
+
+    def __delitem__(self, key):
+        super().__delitem__(key)
+        self._wrote(key)
+
+    def _wrote(self, key):
+        self.written.append(key)
+        if self.on_write is not None:
+            self.on_write(key)
+
+    def __iter__(self):
+        self.walked += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.walked += len(self)
+        return super().keys()
+
+    def values(self):
+        self.walked += len(self)
+        return super().values()
+
+    def items(self):
+        self.walked += len(self)
+        return super().items()
+
+
+class TestPerKeyRouting:
+    @pytest.mark.parametrize("held", [10, 10_000])
+    def test_a_change_writes_only_the_routes_it_touches(self, held):
+        """Whatever the number of groups held, a subscribe, an unsubscribe
+        and a disconnect write only their own routing keys, and neither the
+        broker nor the engine walks its tables."""
+        broker = Broker()
+        node, bulk, leaving, late = FakePeer(), FakePeer(), FakePeer(), FakePeer()
+        broker._handle_setup(node, SetupRequest(1))
+        broker._xapps.update({1: bulk, 2: leaving, 3: late})
+        broker._conns[leaving] = None
+        many = tuple(SubscriptionItem(f"K{i}", 40) for i in range(held))
+        broker._handle_subscribe(bulk, Subscribe(1, 1, many))
+        both = (SubscriptionItem("L0", 40), SubscriptionItem("L1", 20))
+        broker._handle_subscribe(leaving, Subscribe(2, 1, both))
+        routing = broker._routing = CountingDict(broker._routing)
+        engine = broker._engine
+        engine._demands, engine._groups = CountingDict(engine._demands), CountingDict(engine._groups)
+        node.sent.clear()
+
+        broker._handle_subscribe(late, Subscribe(3, 1, (SubscriptionItem("N", 50),)))
+        broker._handle_unsubscribe(Unsubscribe(3, 1, (("N", 50),)))
+        broker._cleanup(leaving, None, 2)
+
+        assert broker._routing is routing
+        assert routing.written == [(1, "N"), (1, "N"), (1, "L0"), (1, "L1")]
+        assert routing.walked == engine._demands.walked == engine._groups.walked == 0
+        assert node.sent == [
+            Subscribe(BROKER_SENDER, 1, (SubscriptionItem("N", 50),)),
+            Unsubscribe(BROKER_SENDER, 1, (("N", 50),)),
+            Unsubscribe(BROKER_SENDER, 1, (("L0", 40), ("L1", 20))),
+        ]
+        assert routing == engine.groups() and len(routing) == held
+
+    def test_an_indication_racing_a_commit_is_routed_per_kpi(self):
+        """A commit that touches several KPIs of one node writes their
+        routes one at a time, and an indication routed between two writes
+        sees some KPIs before the commit and some after. That is enough:
+        a sample's xApps depend on its own group only, so each sample goes
+        where its group's old plan or its new plan sends it."""
+        broker = Broker()
+        node, slow, fast = FakePeer(), FakePeer(), FakePeer()
+        broker._handle_setup(node, SetupRequest(1))
+        broker._xapps.update({10: slow, 11: fast})
+        def items(period):
+            return SubscriptionItem("a", period), SubscriptionItem("b", period)
+
+        broker._handle_subscribe(slow, Subscribe(10, 1, items(40)))
+        slow.sent.clear()
+        seen = []
+
+        def route_now(key):
+            for period in (40, 20):
+                broker._handle_indication(Indication(1, 0, period, (("a", 0), ("b", 0))), 60)
+            seen.append((key, slow.sent[:], fast.sent[:]))
+            slow.sent.clear()
+            fast.sent.clear()
+
+        broker._routing = CountingDict(broker._routing, on_write=route_now)
+        # One commit retimes both KPIs from 40 ms to one 20 ms stream.
+        broker._handle_subscribe(fast, Subscribe(11, 1, items(20)))
+
+        def sent(period, *kpis):
+            return Indication(1, 0, period, tuple((kpi, 0) for kpi in kpis))
+
+        assert seen == [
+            # "a" is routed by its new plan, "b" still by its old one.
+            ((1, "a"), [sent(40, "b"), sent(20, "a")], [sent(20, "a")]),
+            ((1, "b"), [sent(20, "a", "b")], [sent(20, "a", "b")]),
+        ]
+        assert fast.sent == [SubscribeReply(1, True)]
+
+    def test_indications_routed_during_commits_see_whole_groups(self):
+        """Stress: four threads route 20 ms indications while a fifth keeps
+        moving ten KPIs between one 40 ms stream and one 20 ms stream that
+        feeds both xApps. Each sample reaches both xApps or neither, and
+        the routing ends equal to the engine's groups."""
+        broker = Broker()
+        node, slow, fast = FakePeer(), FakePeer(), FakePeer()
+        broker._handle_setup(node, SetupRequest(1))
+        broker._xapps.update({10: slow, 11: fast})
+        kpis = [f"K{i}" for i in range(10)]
+        broker._handle_subscribe(slow, Subscribe(10, 1, tuple(SubscriptionItem(k, 40) for k in kpis)))
+        retime = Subscribe(11, 1, tuple(SubscriptionItem(k, 20) for k in kpis))
+        back = Unsubscribe(11, 1, tuple((k, 20) for k in kpis))
+        samples = tuple((k, 0) for k in kpis)
+        errors = []
+
+        def commit():
+            try:
+                for _ in range(200):
+                    broker._handle_subscribe(fast, retime)
+                    broker._handle_unsubscribe(back)
+            except Exception as exc:
+                errors.append(exc)
+
+        def route(worker):
+            try:
+                for i in range(2000):
+                    broker._handle_indication(Indication(1, worker * 10_000 + i, 20, samples), 99)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=commit)]
+        threads += [threading.Thread(target=route, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+
+        def delivered(peer):
+            return {
+                m.emit_time_ms: {kpi for kpi, _ in m.samples}
+                for m in peer.sent
+                if isinstance(m, Indication)
+            }
+
+        assert delivered(slow) == delivered(fast)
+        assert broker._routing == broker._engine.groups()
+
+
 class TestIdleConnections:
     def test_subscription_after_idle_reaches_the_node(self, broker, monkeypatch):
         monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.2)
@@ -716,6 +902,21 @@ class TestLiveMode:
             client.close()
         assert wait_until(lambda: node.active_streams() == set())
         node.stop()
+
+    def test_tcp_connections_send_without_delay(self, broker):
+        node = NodeEmulator(*broker.address, node_id=13)
+        node.start()
+        client = XAppClient(*broker.address, 130)
+        client.connect()
+        try:
+            assert wait_until(lambda: len(broker._conns) == 2)
+            with broker._lock:
+                accepted = [peer.sock for peer in broker._conns]
+            for sock in [node._peer.sock, client._peer.sock, *accepted]:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            client.close()
+            node.stop()
 
     def test_duplicate_node_id_rejected(self, broker):
         host, port = broker.address
