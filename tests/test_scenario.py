@@ -224,6 +224,32 @@ def test_build_keeps_no_table_per_node_and_kpi():
     assert peak - kept < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [SensitivityPolicy(), SensitivityPolicy(fixed_ms=25), SensitivityPolicy(per_xapp=((1, 25),))],
+)
+@pytest.mark.parametrize("mix", [None, ((10, 0.4), (20, 0.3), (30, 0.2), (50, 0.1))])
+def test_smaller_node_counts_are_prefixes(mix, policy):
+    """What a nodes sweep relies on: xApp 0's requests for n nodes are the
+    first n of any larger scenario's, so a scenario without duplicates
+    is exactly that prefix."""
+    undup = 0
+    for redundancy in (0.0, 0.05, 0.4):
+        spec = ScenarioSpec(1, 5, redundancy_fraction=redundancy, period_mix=mix,
+                            sensitivity=policy, seed=6)
+        each = [build(replace(spec, nodes=n)) for n in range(1, 13)]
+        for n, smaller in enumerate(each, 1):
+            assert {r.xapp for r in smaller[n:]} <= {scenario.DUPLICATE_XAPP}
+            for larger in each[n - 1:]:
+                assert smaller[:n] == larger[:n]
+                if len(smaller) == n:
+                    assert smaller == larger[:n]
+            undup += len(smaller) == n
+    # Redundancy 0.05 leaves the smallest counts without duplicates, and
+    # redundancy 0.4 leaves none.
+    assert 12 < undup < 36
+
+
 class TestCollectorPause:
     """``_tally`` measures with the cyclic collector paused and gives it
     back as it found it."""
@@ -546,6 +572,12 @@ class TestSweep:
             (replace(MIXED, redundancy_fraction=0.4), SweepAxis.NODES, list(range(1, 9))),
             # Point 2 adds node 1 and a duplicate on node 0, which point 1 had.
             (replace(MIXED, kpis_per_node=1, redundancy_fraction=0.4), SweepAxis.NODES, [1, 2]),
+            # Points 3 and 4 carry a duplicate; the others do not.
+            (
+                replace(MIXED, kpis_per_node=1, redundancy_fraction=0.2),
+                SweepAxis.NODES,
+                [1, 2, 3, 2, 1, 4],
+            ),
             (replace(MIXED, nodes=3), SweepAxis.KPIS, [4, 1, 6, 6, 9]),
             (replace(MIXED, nodes=4), SweepAxis.REDUNDANCY, [0.0, 0.5, 0.2, 0.2, 1.0]),
         ],
@@ -569,6 +601,16 @@ class TestSweep:
         assert all(len(point) > n for n, point in zip(values, each_point))
         assert len(requests) == sum(map(len, each_point))
 
+    @pytest.mark.parametrize("values, requests", [(None, 60), ([5, 2, 7, 7, 9, 1], 9)])
+    def test_node_sweep_builds_each_node_once(self, monkeypatch, values, requests):
+        built = []
+        monkeypatch.setattr(
+            scenario, "SubscriptionRequest", lambda *a: built.append(a) or SubscriptionRequest(*a)
+        )
+        rows = sweep(MIXED, MODEL, SIM, SweepAxis.NODES, values)
+        assert len(rows) == len(values or SWEEP_AXES[SweepAxis.NODES].grid)
+        assert len(built) == requests
+
     def test_errors_stay_at_the_point_that_raises_them(self, monkeypatch):
         spec = ScenarioSpec(1, 2, period_mix=((10, 0.9), (20, 0.07), (200, 0.03)), seed=0)
         message = "horizon 100 ms shorter than stream period 200 ms (8:KPI0001)"
@@ -577,12 +619,16 @@ class TestSweep:
         with pytest.raises(ValueError) as at_compare:
             compare(replace(spec, nodes=9), MODEL, SIM)
         assert str(at_compare.value) == message
-        built = []
-        monkeypatch.setattr(scenario, "build", lambda s: built.append(s.nodes) or build(s))
+        built, measured = [], []
+        monkeypatch.setattr(
+            scenario, "SubscriptionRequest", lambda *a: built.append(a[1]) or SubscriptionRequest(*a)
+        )
+        monkeypatch.setattr(scenario, "decompose", lambda r: measured.append(r.node) or decompose(r))
         with pytest.raises(ValueError) as at_sweep:
             sweep(spec, MODEL, SIM, SweepAxis.NODES, list(range(1, 20)))
         assert str(at_sweep.value) == message
-        assert built == list(range(1, 10))
+        # Nothing past the point that raises is built or measured.
+        assert built == measured == list(range(9))
 
     def test_redundancy_axis_emits_all_modes(self):
         spec = ScenarioSpec(3, 4, 10, 0.0, seed=2)
