@@ -572,14 +572,14 @@ class TestSweep:
             (replace(MIXED, redundancy_fraction=0.4), SweepAxis.NODES, list(range(1, 9))),
             # Point 2 adds node 1 and a duplicate on node 0, which point 1 had.
             (replace(MIXED, kpis_per_node=1, redundancy_fraction=0.4), SweepAxis.NODES, [1, 2]),
+            (replace(MIXED, nodes=3), SweepAxis.KPIS, [4, 1, 6, 6, 9]),
+            (replace(MIXED, nodes=4), SweepAxis.REDUNDANCY, [0.0, 0.5, 0.2, 0.2, 1.0]),
             # Points 3 and 4 carry a duplicate; the others do not.
             (
                 replace(MIXED, kpis_per_node=1, redundancy_fraction=0.2),
                 SweepAxis.NODES,
                 [1, 2, 3, 2, 1, 4],
             ),
-            (replace(MIXED, nodes=3), SweepAxis.KPIS, [4, 1, 6, 6, 9]),
-            (replace(MIXED, nodes=4), SweepAxis.REDUNDANCY, [0.0, 0.5, 0.2, 0.2, 1.0]),
         ],
     )
     def test_rows_equal_each_points_compare(self, spec, axis, values):
