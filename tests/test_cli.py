@@ -266,6 +266,15 @@ class TestSweep:
         assert len(lines) == 61  # header + one projection row per node count
         assert lines[-1].split(",")[5] == "54.1308"
 
+    def test_mixed_node_sweep_matches_golden(self, capsys):
+        """Nodes drawn from a period mix: 9 distinct contents over 60
+        points, so the sweep both measures new nodes and reuses tallies."""
+        code, out, _ = run_cli(
+            capsys, "sweep", REPO / "configs" / "node_sweep_mixed.cfg", "--axis", "nodes"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "sweep_nodes_mixed.csv").read_text()
+
     def test_kpi_sweep_matches_golden(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", REPO / "configs" / "kpi_sweep.cfg", "--axis", "kpis"

@@ -562,6 +562,17 @@ MIXED = ScenarioSpec(
 )
 
 
+def count_measures(monkeypatch):
+    """The mode of each ``scenario._measure`` call, as a list that grows."""
+    measured, measure = [], scenario._measure
+    monkeypatch.setattr(scenario, "_measure", lambda *a: measured.append(a[0]) or measure(*a))
+    return measured
+
+
+# Redundancy 0 and one period in most draws, so node contents repeat.
+REPEATING = ScenarioSpec(1, 1, period_mix=((10, 0.8), (20, 0.1), (40, 0.1)), seed=3)
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         "spec, axis, values",
@@ -580,6 +591,8 @@ class TestSweep:
                 SweepAxis.NODES,
                 [1, 2, 3, 2, 1, 4],
             ),
+            # Point 7 adds nodes 2-6, whose content equals nodes 0-4 of point 5.
+            (REPEATING, SweepAxis.NODES, [5, 2, 7, 7, 9, 1]),
         ],
     )
     def test_rows_equal_each_points_compare(self, spec, axis, values):
@@ -611,6 +624,23 @@ class TestSweep:
         assert len(rows) == len(values or SWEEP_AXES[SweepAxis.NODES].grid)
         assert len(built) == requests
 
+    def test_node_sweep_measures_alike_nodes_once(self, monkeypatch):
+        measured = count_measures(monkeypatch)
+        spec, model, sim_cfg = load_config(str(CONFIGS / "node_sweep.cfg"))
+        rows = sweep(spec, model, sim_cfg, SweepAxis.NODES)
+        assert len(rows) == 60
+        # One measurement per mode, not one per mode and point (180).
+        assert measured == list(MODE_ORDER)
+
+    @pytest.mark.parametrize("kpis", [1, 2])
+    def test_node_sweep_measures_each_distinct_slice_once(self, monkeypatch, kpis):
+        spec = replace(REPEATING, kpis_per_node=kpis)
+        contents = {(r.xapp, r.items) for r in build(replace(spec, nodes=60))}
+        assert 1 < len(contents) < 60
+        measured = count_measures(monkeypatch)
+        sweep(spec, MODEL, SIM, SweepAxis.NODES)
+        assert len(measured) == len(MODE_ORDER) * len(contents)
+
     def test_errors_stay_at_the_point_that_raises_them(self, monkeypatch):
         spec = ScenarioSpec(1, 2, period_mix=((10, 0.9), (20, 0.07), (200, 0.03)), seed=0)
         message = "horizon 100 ms shorter than stream period 200 ms (8:KPI0001)"
@@ -627,8 +657,11 @@ class TestSweep:
         with pytest.raises(ValueError) as at_sweep:
             sweep(spec, MODEL, SIM, SweepAxis.NODES, list(range(1, 20)))
         assert str(at_sweep.value) == message
-        # Nothing past the point that raises is built or measured.
-        assert built == measured == list(range(9))
+        # Nothing past the point that raises is built, and only the first
+        # node of each distinct content is measured: nodes 1-4 and 6-7
+        # repeat node 0, node 5 is new and node 8 raises.
+        assert built == list(range(9))
+        assert measured == [0, 5, 8]
 
     def test_redundancy_axis_emits_all_modes(self):
         spec = ScenarioSpec(3, 4, 10, 0.0, seed=2)

@@ -364,6 +364,29 @@ class TestRouting:
         broker._handle_setup(again, SetupRequest(1))
         assert again.sent == [SetupResponse(1, True), Subscribe(BROKER_SENDER, 1, (a40, a60, b60))]
 
+    def test_fan_out_frames_carry_exactly_each_xapps_samples(self, broker):
+        """One indication frame from a node socket reaches two xApp sockets
+        as the exact bytes of an indication with only that xApp's samples."""
+        a20, b20 = SubscriptionItem("a", 20), SubscriptionItem("b", 20)
+        a40, c40 = SubscriptionItem("a", 40), SubscriptionItem("c", 40)
+        sockets = [socket.create_connection(broker.address, timeout=5) for _ in range(3)]
+        node, fast, slow = sockets
+        try:
+            node.sendall(encode(SetupRequest(1)))
+            assert read_frame(node) == encode(SetupResponse(1, True))
+            for sock, xapp, items in ((fast, 10, (a20, b20)), (slow, 11, (a40, c40))):
+                sock.sendall(encode(Subscribe(xapp, 1, items)))
+                assert read_frame(sock) == encode(SubscribeReply(1, True))
+            # "a" at 40 ms rides the 20 ms stream; "c" has a 40 ms stream of its own.
+            assert read_frame(node) == encode(Subscribe(BROKER_SENDER, 1, (a20, b20)))
+            assert read_frame(node) == encode(Subscribe(BROKER_SENDER, 1, (c40,)))
+            node.sendall(encode(Indication(1, 120, 20, (("a", 120), ("b", 120)))))
+            assert read_frame(fast) == encode(Indication(1, 120, 20, (("a", 120), ("b", 120))))
+            assert read_frame(slow) == encode(Indication(1, 120, 20, (("a", 120),)))
+        finally:
+            for sock in sockets:
+                sock.close()
+
     def test_each_xapp_gets_the_indications_of_its_planned_stream(self):
         rng = random.Random(20260809)
         for _ in range(300):
