@@ -34,15 +34,8 @@ of its first group, which is then dropped. A caller that asks for a plan
 gets one built from the fold. :meth:`MergeState.classes` hands the
 simulator each fold with the groups that share it, and the live broker
 routes each (node, KPI) by its group and fans indications out through
-:func:`fed_at`.
-
-Every mutation returns the plan edit it caused as a :class:`PlanEdit`, a
-sequence of :class:`StreamChange` items: for each touched group in turn,
-the streams the node must stop (REMOVED), then those it must start
-(ADDED). A retimed stream is one of each. The edit keeps only each
-group's stream periods before and the group after, and builds its
-changes when first read, so a caller that drops it, as
-``scenario.compare`` does, builds none.
+:func:`fed_at`. Every mutation returns one :data:`Touch` per group it
+touched, and the broker alone turns touches into stream starts and stops.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .e2model import E2NodeId, KpiDemand, KpiId, XAppId
 
@@ -232,19 +225,6 @@ class TransmissionPlan:
             raise ValueError(_FANOUT_ERROR)
 
 
-class ChangeAction(str, Enum):
-    ADDED = "added"
-    REMOVED = "removed"
-
-
-@dataclass(frozen=True)
-class StreamChange:
-    """One plan edit: a stream the node must start (ADDED) or stop (REMOVED)."""
-
-    action: ChangeAction
-    stream: StreamSpec
-
-
 @dataclass
 class _Stream:
     """Mutable fold state: current period plus the demands assigned so far.
@@ -349,66 +329,9 @@ def _plan(key: _Key, fold: Fold, xapps: tuple[XAppId, ...]) -> TransmissionPlan:
     )
 
 
-def _diff_periods(
-    key: _Key, before: tuple[int, ...], after: tuple[int, ...]
-) -> list[StreamChange]:
-    """The edit from streams at ``before`` to streams at ``after``: the
-    streams that vanished, then the streams that appeared, each in plan
-    order (ascending period).
-
-    A stream kept at the same period needs no node-side action even if
-    its fan-out changed.
-    """
-    return [
-        StreamChange(ChangeAction.REMOVED, StreamSpec(*key, p)) for p in before if p not in after
-    ] + [StreamChange(ChangeAction.ADDED, StreamSpec(*key, p)) for p in after if p not in before]
-
-
 # One touched group: its key, its stream periods before, and the group
 # after (None once it has no demand).
 Touch = tuple[_Key, tuple[int, ...], GroupPlan | None]
-
-
-class PlanEdit(Sequence[StreamChange]):
-    """The plan edit of one mutation: each touched group's changes, from
-    :func:`_diff_periods`, in the order the groups were touched.
-
-    Kept as ``touched``, one :data:`Touch` per touched group in that
-    order; the changes are built when the edit is first read. It equals
-    any sequence of the same changes.
-    """
-
-    __slots__ = ("touched", "_changes")
-
-    def __init__(self, touched: list[Touch]) -> None:
-        self.touched = touched
-        self._changes: list[StreamChange] | None = None
-
-    def _built(self) -> list[StreamChange]:
-        if self._changes is None:
-            self._changes = [
-                c
-                for key, before, group in self.touched
-                for c in _diff_periods(key, before, group[0].periods if group else ())
-            ]
-        return self._changes
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator[StreamChange]:
-        return iter(self._built())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._built() == list(other)
-
-    def __repr__(self) -> str:
-        return f"PlanEdit({self._built()!r})"
 
 
 class MergeState:
@@ -439,10 +362,6 @@ class MergeState:
         """Every group's plan, each built from its fold."""
         return {key: _plan(key, *group) for key, group in self._groups.items()}
 
-    def groups(self) -> dict[_Key, GroupPlan]:
-        """A copy of every group's fold and xApp ids; builds no plan."""
-        return dict(self._groups)
-
     def classes(self) -> list[PlanClass]:
         """Every group, classed by the fold it shares; builds no plan."""
         by_fold: dict[Fold, list[Group]] = {}
@@ -453,11 +372,12 @@ class MergeState:
     def demands(self) -> list[KpiDemand]:
         return [d for group in self._demands.values() for d in group.values()]
 
-    def add_demand(self, demand: KpiDemand) -> PlanEdit:
+    def add_demand(self, demand: KpiDemand) -> list[Touch]:
         return self.add_demands([demand])
 
-    def add_demands(self, demands: Iterable[KpiDemand]) -> PlanEdit:
-        """Insert demands atomically, recomputing each touched group once.
+    def add_demands(self, demands: Iterable[KpiDemand]) -> list[Touch]:
+        """Insert demands atomically, recomputing each touched group once,
+        in key order.
 
         Either every demand is admitted (exactly identical re-submissions
         are ignored) or the state is left untouched. A group the state
@@ -493,21 +413,21 @@ class MergeState:
                     keys_of[xapp] = {key: None}
                 else:
                     keys[key] = None
-        return PlanEdit([self._recompute(key) for key in sorted(pending)])
+        return [self._recompute(key) for key in sorted(pending)]
 
-    def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> PlanEdit:
+    def remove_demand(self, xapp: XAppId, node: E2NodeId, kpi: KpiId) -> list[Touch]:
         key = (node, kpi)
         touch = self._remove(xapp, key)
         keys = self._keys[xapp]
         del keys[key]
         if not keys:
             del self._keys[xapp]
-        return PlanEdit([touch])
+        return [touch]
 
-    def remove_xapp(self, xapp: XAppId) -> PlanEdit:
+    def remove_xapp(self, xapp: XAppId) -> list[Touch]:
         """Drop every demand of one xApp (e.g. on disconnect), in the order
         it subscribed to them; walks only that xApp's keys."""
-        return PlanEdit([self._remove(xapp, key) for key in self._keys.pop(xapp, ())])
+        return [self._remove(xapp, key) for key in self._keys.pop(xapp, ())]
 
     def total_sample_rate(self) -> Fraction:
         """Aggregate samples per second over all planned streams, summed

@@ -180,21 +180,19 @@ def read_item(data: bytes, pos: int) -> tuple[SubscriptionItem, int]:
     return SubscriptionItem(kpi, period, tolerance), pos
 
 
-def _counted(write, read):
-    """The row codec of a field that is a u64 row count, then the rows."""
+def pack_items(items: tuple[SubscriptionItem, ...]) -> bytes:
+    """A u64 item count, then each item as :func:`pack_item` writes it."""
+    return pack_u64(len(items)) + b"".join(map(pack_item, items))
 
-    def write_rows(rows) -> bytes:
-        return pack_u64(len(rows)) + b"".join(map(write, rows))
 
-    def read_rows(data: bytes, pos: int):
-        count, pos = read_u64(data, pos)
-        rows = []
-        for _ in range(count):
-            row, pos = read(data, pos)
-            rows.append(row)
-        return tuple(rows), pos
-
-    return write_rows, read_rows
+def read_items(data: bytes, pos: int) -> tuple[tuple[SubscriptionItem, ...], int]:
+    """Inverse of :func:`pack_items`."""
+    count, pos = read_u64(data, pos)
+    items = []
+    for _ in range(count):
+        item, pos = read_item(data, pos)
+        items.append(item)
+    return tuple(items), pos
 
 
 def pack_pairs(rows: tuple[tuple[str, int], ...]) -> bytes:
@@ -226,7 +224,7 @@ def read_pairs(data: bytes, pos: int) -> tuple[tuple[tuple[str, int], ...], int]
 
 
 _NAME = (pack_name, read_name)
-_ITEMS = _counted(pack_item, read_item)
+_ITEMS = (pack_items, read_items)
 _PAIRS = (pack_pairs, read_pairs)
 
 
@@ -613,7 +611,7 @@ class Broker:
                 failure = "unknown node"
             else:
                 try:
-                    self._commit(self._engine.add_demands(decompose(request)).touched)
+                    self._commit(self._engine.add_demands(decompose(request)))
                 except DuplicateDemandError as exc:
                     failure = str(exc)
         if failure is not None:
@@ -628,7 +626,7 @@ class Broker:
             touched = []
             for kpi, _period in msg.items:
                 try:
-                    touched += self._engine.remove_demand(msg.sender, msg.node, kpi).touched
+                    touched += self._engine.remove_demand(msg.sender, msg.node, kpi)
                 except UnknownDemandError:
                     unknown.append(kpi)
             self._commit(touched)
@@ -699,7 +697,7 @@ class Broker:
                 del self._nodes[node_id]
             if xapp_id is not None and self._xapps.get(xapp_id) is peer:
                 del self._xapps[xapp_id]
-                self._commit(self._engine.remove_xapp(xapp_id).touched)
+                self._commit(self._engine.remove_xapp(xapp_id))
 
 
 class NodeEmulator:

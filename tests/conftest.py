@@ -1,7 +1,7 @@
 """Test-wide settings: hypothesis draws the same examples on every run, and
 no live-mode thread outlives the test that started it. Also a stand-in
 broker that answers one node's setup request as a test tells it to, and
-logs of the plans, streams and stream changes a test constructs."""
+logs of the plans and streams a test constructs."""
 
 import socket
 import threading
@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import settings
 
-from ricmerge.merge import StreamChange, StreamSpec, TransmissionPlan
+from ricmerge.merge import StreamSpec, TransmissionPlan
 from ricmerge.wire import read_frame
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -112,9 +112,3 @@ def plans_built(monkeypatch):
 def specs_built(monkeypatch):
     """The :class:`StreamSpec` objects constructed during the test, in order."""
     return _constructed(monkeypatch, StreamSpec, "__post_init__")
-
-
-@pytest.fixture
-def changes_built(monkeypatch):
-    """The :class:`StreamChange` objects constructed during the test, in order."""
-    return _constructed(monkeypatch, StreamChange, "__init__")

@@ -241,12 +241,14 @@ class TestTraceHooks:
         calls = count_calls(monkeypatch, [(MergeState, name) for name in names])
         state = MergeState()
         demands = [KpiDemand(1, 0, "K", 10), KpiDemand(2, 0, "K", 15), KpiDemand(3, 0, "K", 20)]
-        # Add all three, then remove the second.
+        # Add all three, then remove the second. The workload sums the
+        # len() of each add's and remove's result.
         for demand in demands + demands[1:2]:
             if demand in state.demands():
-                state.remove_demand(demand.xapp, demand.node, demand.kpi)
+                changed = state.remove_demand(demand.xapp, demand.node, demand.kpi)
             else:
-                state.add_demand(demand)
+                changed = state.add_demand(demand)
+            assert len(changed) == 1
             state.plan_for(0, "K")
             assert state.total_sample_rate() > 0
         assert state.demands() == demands[::2]

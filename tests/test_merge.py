@@ -10,14 +10,11 @@ from hypothesis import given, settings, strategies as st
 from ricmerge import merge
 from ricmerge.e2model import KpiDemand
 from ricmerge.merge import (
-    ChangeAction,
     DecisionKind,
     DuplicateDemandError,
     Fold,
     MergeState,
     PlanClass,
-    PlanEdit,
-    StreamChange,
     StreamSpec,
     TransmissionPlan,
     UnknownDemandError,
@@ -27,7 +24,7 @@ from ricmerge.merge import (
     max_staleness,
 )
 
-from helpers import staleness_oracle
+from helpers import churn_ops, groups, plan_diff, staleness_oracle
 
 
 class TestMaxStaleness:
@@ -103,21 +100,24 @@ def plan_periods(state, node=0, kpi="a"):
     return [] if plan is None else [s.period_ms for s in plan.streams]
 
 
+def touch_periods(touches):
+    """Each touch as (key, stream periods before, stream periods after)."""
+    return [(key, before, group[0].periods if group else ()) for key, before, group in touches]
+
+
 class TestMergeState:
     def test_single_demand_single_stream(self):
         state = MergeState()
-        changes = state.add_demand(demand(1, 10))
-        assert [(c.action, c.stream.period_ms) for c in changes] == [
-            (ChangeAction.ADDED, 10)
-        ]
+        touches = state.add_demand(demand(1, 10))
+        assert touch_periods(touches) == [((0, "a"), (), (10,))]
         plan = state.plan_for(0, "a")
         assert plan.fanout == {1: 0}
 
     def test_divisible_demand_joins_existing_stream(self):
         state = MergeState()
         state.add_demand(demand(1, 10))
-        changes = state.add_demand(demand(2, 20))
-        assert changes == []
+        touches = state.add_demand(demand(2, 20))
+        assert touch_periods(touches) == [((0, "a"), (10,), (10,))]
         plan = state.plan_for(0, "a")
         assert [s.period_ms for s in plan.streams] == [10]
         assert plan.fanout == {1: 0, 2: 0}
@@ -134,18 +134,15 @@ class TestMergeState:
         state = MergeState()
         state.add_demand(demand(1, 10))
         state.add_demand(demand(2, 20))
-        changes = state.remove_demand(2, 0, "a")
-        assert changes == []
+        touches = state.remove_demand(2, 0, "a")
+        assert touch_periods(touches) == [((0, "a"), (10,), (10,))]
         assert plan_periods(state) == [10]
         assert state.plan_for(0, "a").fanout == {1: 0}
 
     def test_remove_last_demand_removes_plan(self):
         state = MergeState()
         state.add_demand(demand(1, 10))
-        changes = state.remove_demand(1, 0, "a")
-        assert [(c.action, c.stream.period_ms) for c in changes] == [
-            (ChangeAction.REMOVED, 10)
-        ]
+        assert state.remove_demand(1, 0, "a") == [((0, "a"), (10,), None)]
         assert state.plan_for(0, "a") is None
 
     def test_remove_then_add_restores_plan(self):
@@ -183,13 +180,10 @@ class TestMergeState:
 
     def test_batch_insert_recomputes_each_key_once(self):
         state = MergeState()
-        changes = state.add_demands(
-            [demand(1, 10), demand(2, 20), demand(3, 10, kpi="b")]
+        touches = state.add_demands(
+            [demand(3, 10, kpi="b"), demand(1, 10), demand(2, 20)]
         )
-        assert {(c.action, c.stream.kpi) for c in changes} == {
-            (ChangeAction.ADDED, "a"),
-            (ChangeAction.ADDED, "b"),
-        }
+        assert touch_periods(touches) == [((0, "a"), (), (10,)), ((0, "b"), (), (10,))]
         assert len(state.demands()) == 3
 
     def test_unknown_removal_rejected(self):
@@ -209,13 +203,14 @@ class TestMergeState:
         state = MergeState()
         state.add_demand(demand(1, 2))
         state.add_demand(demand(2, 3))
-        changes = state.add_demand(demand(3, 4))
+        before = state.plan_for(0, "a")
+        touches = state.add_demand(demand(3, 4))
         # {2, 3} ms collapse to one 1 ms stream.
-        assert [(c.action, c.stream.period_ms) for c in changes] == [
-            (ChangeAction.REMOVED, 2),
-            (ChangeAction.REMOVED, 3),
-            (ChangeAction.ADDED, 1),
-        ]
+        assert touch_periods(touches) == [((0, "a"), (2, 3), (1,))]
+        assert plan_diff(before, state.plan_for(0, "a")) == (
+            [StreamSpec(0, "a", 2), StreamSpec(0, "a", 3)],
+            [StreamSpec(0, "a", 1)],
+        )
 
     def test_total_sample_rate(self):
         state = MergeState()
@@ -247,18 +242,23 @@ class TestMergeState:
         state.remove_demand(3, 0, "c")
         assert state.plan_for(0, "c") is None and (0, "c") not in state.plans()
 
-    def test_groups_is_a_copy_of_the_plan_state(self, plans_built):
+    def test_classes_hold_each_group_by_its_fold(self, plans_built):
         state = MergeState()
-        state.add_demands([demand(1, 10), demand(2, 20), demand(3, 15, kpi="b")])
+        state.add_demands(
+            [demand(1, 10), demand(2, 20), demand(3, 15, kpi="b"), demand(4, 10, node=1)]
+        )
+        state.add_demand(demand(5, 20, node=1))
         built = len(plans_built)
-        groups = state.groups()
-        assert groups == {
+        assert state.classes() == [
+            PlanClass(Fold((10,), ((0, 1),)), [(0, "a", (1, 2)), (1, "a", (4, 5))]),
+            PlanClass(Fold((15,), ((0,),)), [(0, "b", (3,))]),
+        ]
+        assert groups(state) == {
             (0, "a"): (Fold((10,), ((0, 1),)), (1, 2)),
             (0, "b"): (Fold((15,), ((0,),)), (3,)),
+            (1, "a"): (Fold((10,), ((0, 1),)), (4, 5)),
         }
         assert len(plans_built) == built
-        groups.clear()
-        assert state.plan_for(0, "b").fanout == {3: 0}
 
     def test_plans_are_insertion_order_insensitive(self):
         rng = random.Random(7)
@@ -276,61 +276,46 @@ class TestMergeState:
 
 
 class TestPlanEdit:
+    """A mutation returns its touches: for each group it touched, the key,
+    the stream periods before and the group after (None once empty)."""
+
     def test_equals_the_equivalent_list(self):
         state = MergeState()
         state.add_demands([demand(1, 2), demand(2, 3)])
-        edit = state.add_demand(demand(3, 4))
-        want = [
-            StreamChange(ChangeAction.REMOVED, StreamSpec(0, "a", 2)),
-            StreamChange(ChangeAction.REMOVED, StreamSpec(0, "a", 3)),
-            StreamChange(ChangeAction.ADDED, StreamSpec(0, "a", 1)),
-        ]
-        assert isinstance(edit, PlanEdit)
-        assert edit == want and want == edit and edit == tuple(want)
-        assert edit != want[:2] and edit != want[::-1] and edit != "abc"
-        assert state.add_demand(demand(4, 8)) == []
+        touches = state.add_demand(demand(3, 4))
+        assert touches == [((0, "a"), (2, 3), (Fold((1,), ((0, 2, 1),)), (1, 2, 3)))]
+        assert touches == [((0, "a"), (2, 3), groups(state)[0, "a"])]
+        # A stream kept at its period is touched, not edited.
+        assert touch_periods(state.add_demand(demand(4, 8))) == [((0, "a"), (1,), (1,))]
 
-    def test_len_indexing_and_iteration_agree(self):
+    def test_bulk_insert_touches_each_group_once_in_key_order(self, plans_built, specs_built):
         state = MergeState()
-        edit = state.add_demands([demand(3, 20, kpi="b"), demand(2, 15), demand(1, 10)])
-        listed = list(edit)
-        # Groups in key order, each group's streams ascending.
-        assert [(c.stream.kpi, c.stream.period_ms) for c in listed] == [
-            ("a", 10), ("a", 15), ("b", 20)
-        ]
-        assert list(edit) == listed
-        assert len(edit) == len(listed)
-        assert [edit[i] for i in range(len(edit))] == listed
-        assert edit[-1] is listed[-1] and edit[1:] == listed[1:]
-
-    def test_bulk_insert_builds_no_change_until_read(
-        self, plans_built, specs_built, changes_built
-    ):
-        state = MergeState()
-        edit = state.add_demands(
+        touches = state.add_demands(
             demand(xapp, period, node=node, kpi=kpi)
-            for node in range(50)
-            for kpi, periods in (("a", (10, 20)), ("b", (10, 15)))
+            for node in reversed(range(50))
+            for kpi, periods in (("b", (10, 15)), ("a", (10, 20)))
             for xapp, period in enumerate(periods)
         )
         # Only the plan validating each of the two shapes built streams.
         assert len(plans_built) == 2
         assert specs_built == [s for plan in plans_built for s in plan.streams]
-        assert changes_built == []
-        validating = len(specs_built)
-        assert len(edit) == 150
-        assert changes_built == list(edit) == list(edit)
-        assert [c.stream for c in changes_built] == specs_built[validating:]
+        # Groups in key order, each group's streams ascending.
+        assert touch_periods(touches) == [
+            ((node, kpi), (), periods)
+            for node in range(50)
+            for kpi, periods in (("a", (10,)), ("b", (10, 15)))
+        ]
+        assert touches == [(key, (), group) for key, group in sorted(groups(state).items())]
 
     def test_remove_xapp_edits_each_group_in_turn(self):
         demands = [demand(x, p, kpi=k) for k in "ba" for x, p in ((1, 10), (2, 15))]
         state, alone = MergeState(), MergeState()
         state.add_demands(demands)
         alone.add_demands(demands)
-        edit = state.remove_xapp(2)
+        touches = state.remove_xapp(2)
         # The groups in the order they were first inserted: "b", then "a".
-        assert edit == [*alone.remove_demand(2, 0, "b"), *alone.remove_demand(2, 0, "a")]
-        assert [c.action for c in edit] == [ChangeAction.REMOVED] * 2
+        assert touches == [*alone.remove_demand(2, 0, "b"), *alone.remove_demand(2, 0, "a")]
+        assert touch_periods(touches) == [((0, "b"), (10, 15), (10,)), ((0, "a"), (10, 15), (10,))]
         assert state.plans() == alone.plans()
 
 
@@ -419,7 +404,7 @@ class TestTransmissionPlan:
         assert {x: plan.streams[plan.fanout[x]].period_ms for x in range(5)} == {
             0: 7, 1: 5, 2: 5, 3: 5, 4: 5
         }
-        group = state.groups()[0, "a"]
+        group = groups(state)[0, "a"]
         for stream in plan.streams:
             fed = fed_at(group, stream.period_ms)
             fanned = [x for x, i in plan.fanout.items() if plan.streams[i] == stream]
@@ -555,42 +540,15 @@ def reference_build_streams(demands):
     return streams
 
 
-def churn_ops(rng):
-    """A random add/remove sequence over two (node, KPI) groups. Half the
-    sequences draw periods from 1-12 ms, where gcd merges are common."""
-    top = rng.choice([12, 100])
-    ops, active = [], {}
-    for _ in range(rng.randint(1, 24)):
-        if active and rng.random() < 0.3:
-            ops.append(("remove", active.pop(rng.choice(sorted(active)))))
-            continue
-        kpi = rng.choice("ab")
-        xapp = rng.choice([x for x in range(24) if (x, kpi) not in active])
-        sens = rng.choice([None, None, rng.randint(1, 30)])
-        active[xapp, kpi] = demand(xapp, rng.randint(1, top), sens, kpi=kpi)
-        ops.append(("add", active[xapp, kpi]))
-    return ops
-
-
-def reference_diff(old, new):
-    """The plan edit between two plans of one group, read from their streams:
-    vanished streams, then new ones, each in plan order."""
-    before = old.streams if old else ()
-    after = new.streams if new else ()
-    return [StreamChange(ChangeAction.REMOVED, s) for s in before if s not in after] + [
-        StreamChange(ChangeAction.ADDED, s) for s in after if s not in before
-    ]
-
-
 def replay(ops):
-    """StreamChange list and all plans after each op."""
+    """Each op's touches, and all plans and groups after it."""
     state, trace = MergeState(), []
     for action, d in ops:
         if action == "add":
-            changes = state.add_demand(d)
+            touches = state.add_demand(d)
         else:
-            changes = state.remove_demand(d.xapp, d.node, d.kpi)
-        trace.append((action, changes, state.plans()))
+            touches = state.remove_demand(d.xapp, d.node, d.kpi)
+        trace.append((action, touches, state.plans(), groups(state)))
     return trace
 
 
@@ -613,15 +571,18 @@ def test_engine_matches_reference_fold():
         got = replay(ops)
         assert got == want, ops
         requested, before = {}, {}
-        for (action, d), (_, changes, plans) in zip(ops, got):
+        for (action, d), (_, touches, plans, after) in zip(ops, got):
             key = (d.node, d.kpi)
-            assert changes == reference_diff(before.get(key), plans.get(key)), ops
+            old = before.get(key)
+            periods = tuple(s.period_ms for s in old.streams) if old else ()
+            # One touch: the group's streams before the op and the group after it.
+            assert touches == [(key, periods, after.get(key))], ops
             before = plans
             if action == "add":
                 requested[d.xapp, d.kpi] = d.period_ms
             else:
-                actions = {c.action for c in changes}
-                removal_retimes += {ChangeAction.ADDED, ChangeAction.REMOVED} <= actions
+                gone, new = plan_diff(old, plans.get(key))
+                removal_retimes += bool(gone and new)
             for (_, kpi), plan in plans.items():
                 periods = {requested[x, kpi] for x in plan.fanout}
                 gcd_streams += sum(s.period_ms not in periods for s in plan.streams)
@@ -664,7 +625,7 @@ def fold_shape(demands):
 
 def test_bulk_insert_matches_one_group_per_state(plans_built):
     """Groups that share a shape reuse one fold per bulk insert; plans,
-    feeds and changes equal inserting each group alone, and each fan-out
+    feeds and touches equal inserting each group alone, and each fan-out
     lists xApps in the order they joined the reference fold's streams."""
     rng = random.Random(29)
     by_group = shape_groups(rng, 400)
@@ -673,14 +634,14 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
         cut = rng.randint(0, len(demands) - 1)
         halves[0][key], halves[1][key] = demands[:cut], demands[cut:]
 
-    bulk, got_changes, folds = MergeState(), [], 0
+    bulk, got_touches, folds = MergeState(), [], 0
     inserted = {key: [] for key in by_group}
     for half in halves:
         mixed = [d for demands in half.values() for d in demands]
         rng.shuffle(mixed)
         built = len(plans_built)
         with mock.patch.object(merge, "_build_streams", wraps=merge._build_streams) as fold:
-            got_changes.append(bulk.add_demands(mixed))
+            got_touches.append(bulk.add_demands(mixed))
         touched = [key for key, demands in half.items() if demands]
         for key in touched:
             inserted[key] += half[key]
@@ -691,12 +652,12 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
         folds += fold.call_count
     assert folds < len(by_group)
 
-    want_changes, want_plans = ([], []), {}
+    want_touches, want_plans = ([], []), {}
     gcd_streams = tolerated = divisible = split = 0
     for key in sorted(by_group):
         alone = MergeState()
         for step, half in enumerate(halves):
-            want_changes[step].extend(alone.add_demands(half[key]))
+            want_touches[step].extend(alone.add_demands(half[key]))
         want, got = alone.plan_for(*key), bulk.plan_for(*key)
         want_plans[key] = want
         assert got == want, key
@@ -711,7 +672,7 @@ def test_bulk_insert_matches_one_group_per_state(plans_built):
             stream_period = want.streams[want.fanout[xapp]].period_ms
             tolerated += period % stream_period != 0
             divisible += period != stream_period and period % stream_period == 0
-    assert got_changes == list(want_changes)
+    assert got_touches == list(want_touches)
     assert bulk.plans() == want_plans
     # The corpus must reach every branch of the rule.
     assert gcd_streams > 20 and tolerated > 20 and divisible > 20 and split > 20
@@ -764,16 +725,16 @@ def test_fold_table_follows_every_op(ops):
         assert state.total_sample_rate() == classes_sample_rate(state.classes())
         bulk = MergeState()
         bulk.add_demands(state.demands())
-        groups = state.groups()
-        assert groups == bulk.groups()
+        assert groups(state) == groups(bulk)
         assert sorted(map(repr, state.demands())) == sorted(map(repr, active.values()))
+        # Fold identity is what the table shares, so read the groups it holds.
         fold_of_shape = {}
-        for (node, _), (fold, _) in groups.items():
+        for (node, _), (fold, _) in state._groups.items():
             shape = fold_shape([d for (_, g), d in active.items() if g == node])
             assert fold_of_shape.setdefault(shape, fold) is fold
         held = {id(h.fold): h.holders for h in state._shapes.values()}
         holders = {}
-        for fold, _ in groups.values():
+        for fold, _ in state._groups.values():
             holders[id(fold)] = holders.get(id(fold), 0) + 1
         assert held == holders
         assert state._held.keys() == held.keys()
@@ -784,7 +745,7 @@ def test_equal_shapes_share_one_fold_across_calls():
     for node in range(3):
         state.add_demand(demand(1, 10, node=node))
         state.add_demand(demand(2, 15, 6, node=node))
-    folds = [fold for fold, _ in state.groups().values()]
+    folds = [fold for fold, _ in state._groups.values()]
     assert folds[0] is folds[1] is folds[2]
     state.remove_xapp(2)
     state.remove_demand(1, 0, "a")

@@ -336,11 +336,10 @@ class TestCompare:
         ideal = MODEL.watts_per_sample_rate * 0.9 * (10 * 20 * 100)
         assert merge.saved_watts == pytest.approx(ideal, rel=1e-12)
 
-    def test_one_plan_per_distinct_merged_shape(self, plans_built, specs_built, changes_built):
+    def test_one_plan_per_distinct_merged_shape(self, plans_built, specs_built):
         """Only the merge engine builds plans, one per distinct (period,
         tolerance) shape of a (node, KPI) group, to validate its fold. The
-        only streams built are those plans' own, and the engine's plan
-        edit, which nobody reads, builds no change."""
+        only streams built are those plans' own."""
         spec = ScenarioSpec(
             12,
             15,
@@ -361,7 +360,6 @@ class TestCompare:
         built_for = {(p.streams[0].node, p.streams[0].kpi) for p in plans_built}
         assert {tuple(groups[key]) for key in built_for} == shapes
         assert specs_built == [s for plan in plans_built for s in plan.streams]
-        assert changes_built == []
 
     def test_deterministic_per_seed(self):
         spec = ScenarioSpec(6, 6, 10, 0.5, seed=11)

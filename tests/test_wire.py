@@ -30,6 +30,8 @@ from ricmerge.wire import (
     read_frame,
 )
 
+from helpers import churn_ops, groups, plan_diff
+
 
 class TestCodec:
     def test_setup_request_layout(self):
@@ -423,6 +425,54 @@ class TestRouting:
             Unsubscribe(BROKER_SENDER, 1, (("K0", 100),)),
         ]
 
+    def test_each_op_pushes_the_diff_between_the_plans_around_it(self):
+        """Over the engine's churn corpus, each single-item subscribe and
+        unsubscribe, and the disconnect of an xApp holding both KPIs, pushes
+        the node the diff between the plans before and after it: the new
+        streams as one Subscribe, then the vanished ones as one Unsubscribe."""
+
+        def pushes(diffs):
+            new = tuple(SubscriptionItem(s.kpi, s.period_ms) for _, added in diffs for s in added)
+            gone = tuple((s.kpi, s.period_ms) for removed, _ in diffs for s in removed)
+            return [Subscribe(BROKER_SENDER, 0, new)] * bool(new) + [
+                Unsubscribe(BROKER_SENDER, 0, gone)
+            ] * bool(gone)
+
+        retimes = disconnects = 0
+        for seed in range(600):
+            broker = Broker()
+            node, xapp = FakePeer(), FakePeer()
+            broker._handle_setup(node, SetupRequest(0))
+            engine = broker._engine
+            kpis = {}  # each xApp's KPIs, in the order it subscribed to them
+            for action, d in churn_ops(random.Random(seed)):
+                before = engine.plan_for(0, d.kpi)
+                node.sent.clear()
+                if action == "add":
+                    item = SubscriptionItem(d.kpi, d.period_ms, d.sensitivity_ms)
+                    broker._handle_subscribe(xapp, Subscribe(d.xapp, 0, (item,)))
+                    assert xapp.sent.pop() == SubscribeReply(0, True)
+                    kpis.setdefault(d.xapp, {})[d.kpi] = None
+                else:
+                    broker._handle_unsubscribe(Unsubscribe(d.xapp, 0, ((d.kpi, d.period_ms),)))
+                    del kpis[d.xapp][d.kpi]
+                gone, new = diff = plan_diff(before, engine.plan_for(0, d.kpi))
+                assert node.sent == pushes([diff]), (seed, action, d)
+                retimes += bool(gone and new)
+            leaving = max(kpis, key=lambda x: len(kpis[x]), default=None)
+            if leaving is None or len(kpis[leaving]) < 2:
+                continue
+            befores = {kpi: engine.plan_for(0, kpi) for kpi in kpis[leaving]}
+            node.sent.clear()
+            broker._xapps[leaving] = xapp
+            broker._conns[xapp] = None
+            broker._cleanup(xapp, None, leaving)
+            diffs = [plan_diff(old, engine.plan_for(0, kpi)) for kpi, old in befores.items()]
+            assert node.sent == pushes(diffs), (seed, leaving)
+            disconnects += 1
+        # Enough retimes that push order shows, and enough two-KPI disconnects.
+        assert retimes > 400 and disconnects > 100
+
     def test_undelivered_node_push_is_logged(self, caplog):
         caplog.set_level(logging.WARNING, logger="ricmerge.wire")
         broker = Broker()
@@ -596,7 +646,7 @@ class TestPerKeyRouting:
             Unsubscribe(BROKER_SENDER, 1, (("N", 50),)),
             Unsubscribe(BROKER_SENDER, 1, (("L0", 40), ("L1", 20))),
         ]
-        assert routing == engine.groups() and len(routing) == held
+        assert routing == groups(engine) and len(routing) == held
 
     def test_an_indication_racing_a_commit_is_routed_per_kpi(self):
         """A commit that touches several KPIs of one node writes their
@@ -688,7 +738,7 @@ class TestPerKeyRouting:
             }
 
         assert delivered(slow) == delivered(fast)
-        assert broker._routing == broker._engine.groups()
+        assert broker._routing == groups(broker._engine)
 
 
 class TestIdleConnections:
